@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
@@ -83,14 +83,16 @@ class PoleWeightTable:
     mode: str                          # "approx" | "exact"
     total_energy: float
     spatial: bool
+    poles: np.ndarray = field(init=False, repr=False)    # read-only, from entries
+    weights: np.ndarray = field(init=False, repr=False)  # read-only, from entries
 
-    @property
-    def poles(self) -> np.ndarray:
-        return np.array([e.pole for e in self.entries])
-
-    @property
-    def weights(self) -> np.ndarray:
-        return np.array([e.weight for e in self.entries])
+    def __post_init__(self) -> None:
+        # built once: V_nn evaluation reads both on every call
+        for name, values in (("poles", [e.pole for e in self.entries]),
+                             ("weights", [e.weight for e in self.entries])):
+            arr = np.array(values)
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     def proximity_tol(self) -> float:
         # merge_tol with a unit floor, for "too close to a pole" checks
@@ -210,29 +212,59 @@ def vnn_eval(table: PoleWeightTable, epsilon: float) -> float:
         )
     if table.mode == "approx" or not table.spatial:
         return float(_kernels.secular_sum(poles, table.weights, epsilon))
-    # exact spatial: per-member square-root denominators
     e = table.total_energy
     if epsilon > e:
         raise SolverError(f"exact mode requires epsilon <= E, got {epsilon!r} > {e!r}")
-    total = 0.0
-    comp = 0.0
-    for entry in table.entries:
-        for m in entry.members:
-            d = epsilon - m.eps0_aux - m.eps_p \
-                - 2.0 * m.cos_alpha * math.sqrt((e - epsilon) * m.eps_p)
-            if d == 0.0:
+    value = float(_exact_vnn(table, np.array([epsilon]))[0])
+    if math.isnan(value):
+        for m in _members(table):
+            if _exact_denominator(m, epsilon, e - epsilon) == 0.0:
                 raise PoleProximityError(
                     f"exact denominator vanished at epsilon {epsilon!r} "
                     f"(channel {m.channel}, n'={m.n_prime})"
                 )
-            term = m.weight / d
+    return value
+
+
+def _members(table: PoleWeightTable):
+    for entry in table.entries:
+        yield from entry.members
+
+
+def _exact_denominator(m: PoleMember, eps, room):
+    """eps - eps0' - eps_p - 2 cos(alpha) sqrt((E - eps) eps_p), room = E - eps."""
+    return eps - m.eps0_aux - m.eps_p - 2.0 * m.cos_alpha * np.sqrt(room * m.eps_p)
+
+
+def _exact_vnn(table: PoleWeightTable, eps: np.ndarray) -> np.ndarray:
+    """Exact-mode V_nn at every element of a 1-D array of energies.
+
+    Members are summed in table order with the compensated (Neumaier) update,
+    so each element rounds exactly as a one-energy evaluation would. Elements
+    where `vnn_eval` raises (within `proximity_tol()` of a pole, above E, or a
+    vanishing denominator) are NaN. A zero denominator needs no mask: its
+    infinite term turns the compensation into inf - inf.
+    """
+    if not table.entries:
+        return np.zeros(len(eps))
+    poles = table.poles
+    right = np.minimum(np.searchsorted(poles, eps), len(poles) - 1)
+    left = np.maximum(right - 1, 0)
+    gap = np.minimum(np.abs(poles[left] - eps), np.abs(poles[right] - eps))
+    undefined = (gap <= table.proximity_tol()) | (eps > table.total_energy)
+    room = table.total_energy - eps
+    total = np.zeros(len(eps))
+    comp = np.zeros(len(eps))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for m in _members(table):
+            term = m.weight / _exact_denominator(m, eps, room)
             t = total + term
-            if abs(total) >= abs(term):
-                comp += (total - t) + term
-            else:
-                comp += (term - t) + total
+            comp += np.where(np.abs(total) >= np.abs(term),
+                             (total - t) + term, (term - t) + total)
             total = t
-    return total + comp
+    out = total + comp
+    out[undefined] = np.nan
+    return out
 
 
 def _denominators(spec: SystemSpec, bases: ChannelBases, epsilon_s: float):

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from mws import _kernels
-from mws.effpot import ChannelBases, PoleWeightTable, apply_effective_potential, \
-    build_bases, build_pole_weight_table, vnn_eval
+from mws.effpot import ChannelBases, PoleWeightTable, _exact_vnn, \
+    apply_effective_potential, build_bases, build_pole_weight_table
 from mws.eigenbasis import EigenBasis, apply_kinetic, matrix_element, \
     solve_base_eigenproblem
 from mws.errors import SolverError, UnsupportedModeError
@@ -125,6 +125,10 @@ def find_roots(table: PoleWeightTable, epsilon0: float) -> RootSet:
     return _solve_rational(table.poles, table.weights, epsilon0)
 
 
+# Python float powers: numpy's `10.0 ** array` rounds some of these differently
+_NEAR_POLE_SCALES = np.array([10.0 ** (-j) for j in range(12, 0, -1)])
+
+
 def find_roots_exact(table: PoleWeightTable, epsilon0: float,
                      n_samples: int = 4001) -> np.ndarray:
     """Diagnostic scan roots for the exact denominators (no count claim).
@@ -132,9 +136,10 @@ def find_roots_exact(table: PoleWeightTable, epsilon0: float,
     Samples each pole-bounded interval, approaching the singular endpoints
     geometrically so roots hugging a pole are not stepped over, then bisects
     every sign change. The scan stops at epsilon = E where the square roots
-    turn imaginary.
+    turn imaginary. Tables without exact square-root denominators go to
+    `find_roots`.
     """
-    if not table.spatial:
+    if not (table.spatial and table.mode == "exact"):
         return find_roots(table, epsilon0).roots
     e = table.total_energy
     poles = [float(p) for p in table.poles if p < e]
@@ -148,52 +153,62 @@ def find_roots_exact(table: PoleWeightTable, epsilon0: float,
         lo = hi - max(1.0, abs(hi))
     edges = [lo] + [p for p in poles if lo < p < hi] + [hi]
 
-    def f(eps: float) -> float | None:
-        try:
-            return vnn_eval(table, eps) - eps + epsilon0
-        except SolverError:
-            return None
-
-    def bisect(a: float, fa: float, b: float, fb: float) -> float:
-        for _ in range(200):
-            m = 0.5 * (a + b)
-            fm = f(m)
-            if fm is None:
-                break
-            if fm == 0.0:
-                return m
-            if fa * fm < 0.0:
-                b, fb = m, fm
-            else:
-                a, fa = m, fm
-            if b - a <= 1e-13 * max(1.0, abs(a)):
-                break
-        return 0.5 * (a + b)
+    def f(eps: np.ndarray) -> np.ndarray:
+        # NaN where the exact relation is undefined
+        return _exact_vnn(table, eps) - eps + epsilon0
 
     per = max(16, n_samples // max(1, len(edges) - 1))
-    roots: list[float] = []
+    samples = []
     for a, b in zip(edges, edges[1:]):
         gap = b - a
         if gap <= 0.0:
             continue
-        offs = [gap * 10.0 ** (-j) for j in range(12, 0, -1)]
-        xs = sorted(
-            {a + d for d in offs if a < a + d < b}
-            | {b - d for d in offs if a < b - d < b}
-            | set(np.linspace(a + 0.1 * gap, b - 0.1 * gap, per).tolist())
-        )
-        vals = [f(x) for x in xs]
-        for (x1, f1), (x2, f2) in zip(zip(xs, vals), zip(xs[1:], vals[1:])):
-            if f1 is None or f2 is None:
-                continue
-            if f1 == 0.0:
-                roots.append(x1)
-            elif f1 * f2 < 0.0:
-                roots.append(bisect(x1, f1, x2, f2))
-    fe = f(hi)
-    if fe == 0.0:
-        roots.append(hi)
-    return np.array(sorted(roots))
+        offs = gap * _NEAR_POLE_SCALES
+        up, down = a + offs, b - offs
+        samples.append(np.unique(np.concatenate([
+            up[(a < up) & (up < b)],
+            down[(a < down) & (down < b)],
+            np.linspace(a + 0.1 * gap, b - 0.1 * gap, per),
+        ])))
+    xs = np.concatenate(samples + [[hi]])
+    vals = f(xs)
+    x1, x2, f1, f2 = xs[:-1], xs[1:], vals[:-1], vals[1:]
+    pair = ~np.isnan(f1) & ~np.isnan(f2)
+    pair[np.cumsum([len(x) for x in samples]) - 1] = False  # across an edge
+    on_sample = pair & (f1 == 0.0)
+    change = pair & (f1 * f2 < 0.0)
+    roots = [x1[on_sample], _bisect(f, x1[change], f1[change], x2[change])]
+    if vals[-1] == 0.0:
+        roots.append([hi])
+    return np.sort(np.concatenate(roots))
+
+
+def _bisect(f, a: np.ndarray, fa: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Bisect every bracket [a, b] with f(a) = fa at once, 200 halvings at most.
+
+    Each bracket stops on its own: at an undefined (NaN) midpoint or one where
+    f == 0, the midpoint is the root; once b - a <= 1e-13 max(1, |a|), or
+    after the last halving, the root is the bracket's midpoint.
+    """
+    root = np.empty(len(a))
+    idx = np.arange(len(a))
+    for _ in range(200):
+        if not len(idx):
+            break
+        m = 0.5 * (a + b)
+        fm = f(m)
+        halt = np.isnan(fm) | (fm == 0.0)
+        lower = fa * fm < 0.0
+        b = np.where(lower, m, b)
+        a = np.where(lower, a, m)
+        fa = np.where(lower, fa, fm)
+        narrow = ~halt & (b - a <= 1e-13 * np.maximum(1.0, np.abs(a)))
+        root[idx[halt]] = m[halt]
+        root[idx[narrow]] = 0.5 * (a[narrow] + b[narrow])
+        keep = ~(halt | narrow)
+        a, fa, b, idx = a[keep], fa[keep], b[keep], idx[keep]
+    root[idx] = 0.5 * (a + b)
+    return root
 
 
 def count_solutions(spec: SystemSpec) -> CountReport:
