@@ -1,14 +1,15 @@
-"""Time the secular-equation kernel of the loaded backend.
+"""Time the batched secular-equation solver.
 
 Usage:
     python3 benchmarks/bench_kernels.py [--repeats 5] [--tables 200] \
-        [--sizes 1,2,4,8,12]
+        [--sizes 1,2,4,8,12,64]
 
-For each table size P a batch of random pole/weight tables is solved by the
-backend `mws._kernels` loaded (compiled when built, else pure Python; set
-MWS_PURE_PYTHON=1 to force the pure one). Every root is checked against the
-eigenvalues of the arrowhead matrix [[eps0, sqrt(w)^T], [sqrt(w), diag(p)]]
-to 1e-9*max(1,|root|) before the timings (best of the repeats) are reported.
+For each table size P a batch of random pole/weight tables is stacked and
+solved by one `mws._kernels.solve_secular_batch` call. Every root is checked
+against the eigenvalues of the arrowhead matrix
+[[eps0, sqrt(w)^T], [sqrt(w), diag(p)]] to 1e-9*max(1,|root|), and every
+bracket against its sign certificate f_lo > 0 > f_hi, before the timings
+(best of the repeats) are reported.
 """
 
 import argparse
@@ -39,7 +40,7 @@ def make_batch(rng, tables, p_count):
 
 def run_batch(batch):
     t0 = time.perf_counter()
-    results = [_kernels.solve_secular(p, w, e) for p, w, e in batch]
+    results = _kernels.solve_secular_batch(batch)
     return time.perf_counter() - t0, results
 
 
@@ -57,12 +58,11 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--repeats", type=int, default=5)
     ap.add_argument("--tables", type=int, default=200)
-    ap.add_argument("--sizes", default="1,2,4,8,12")
+    ap.add_argument("--sizes", default="1,2,4,8,12,64")
     ap.add_argument("--seed", type=int, default=1234)
     args = ap.parse_args()
     sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
 
-    print(f"backend: {_kernels.BACKEND}")
     print(f"{'P':>3}  {'roots':>6}  {'ms':>9}  {'us/root':>8}  {'max rel err':>11}")
     rng = np.random.default_rng(args.seed)
     for p_count in sizes:
@@ -70,11 +70,13 @@ def main():
         elapsed = min(run_batch(batch)[0] for _ in range(args.repeats))
         _, results = run_batch(batch)
         worst = 0.0
-        for (poles, weights, eps0), (roots, *_) in zip(batch, results):
+        for (poles, weights, eps0), (roots, _, _, flo, fhi, _) in zip(batch, results):
             want = arrowhead_roots(poles, weights, eps0)
             if len(roots) != len(want):
                 raise SystemExit(f"{len(roots)} roots for {p_count} poles")
-            err = np.abs(np.sort(roots) - want) / np.maximum(1.0, np.abs(want))
+            if not (np.all(flo > 0.0) and np.all(fhi < 0.0)):
+                raise SystemExit(f"bracket certificate failed at P={p_count}")
+            err = np.abs(roots - want) / np.maximum(1.0, np.abs(want))
             worst = max(worst, float(err.max()))
         if worst > 1e-9:
             raise SystemExit(f"roots disagree with the arrowhead oracle at P={p_count}: "

@@ -25,8 +25,8 @@ from mws.model import SystemSpec, build_spec
 from mws.oracle import coupled_matrix_diagonalization, run_all_oracles, \
     subset_recovery_distance
 from mws.reconstruct import assemble_wavefunction
-from mws.spectra import find_roots, group_realisations, realisation_separation, \
-    solve_spectrum
+from mws.spectra import exact_scan_edges, find_roots, find_roots_exact, \
+    group_realisations, realisation_separation, solve_spectrum
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -264,20 +264,22 @@ def cmd_figure1(spec: SystemSpec, out_dir: Path, args, jobs: int) -> list[str]:
         for entry in table.entries:
             for m in entry.members:
                 asym_rows.append([str(n), entry.pole, str(m.channel), str(m.n_prime)])
-        rs = find_roots(table, eps0)
-        for j, r in enumerate(rs.roots, start=1):
+        exact = table.spatial and table.mode == "exact"
+        roots = find_roots_exact(table, eps0) if exact else find_roots(table, eps0).roots
+        for j, r in enumerate(roots, start=1):
             root_rows.append([str(n), str(j), r])
 
-        if len(poles) == 0:
+        if exact:
+            # the exact relation ends at E, so the curve ends where the scan does
+            edges = exact_scan_edges(table, eps0)
+            segments = [(a, b, b - a) for a, b in zip(edges[:-1], edges[1:])]
+        elif len(poles) == 0:
             segments = [(eps0 - 1.0, eps0 + 1.0, 2.0)]
         else:
             spread = float(poles[-1] - poles[0]) if len(poles) > 1 else 1.0
             margin = max(spread, 1.0)
             edges = [poles[0] - margin] + list(poles) + [poles[-1] + margin]
-            segments = []
-            for a, b in zip(edges[:-1], edges[1:]):
-                gap = b - a
-                segments.append((a, b, gap))
+            segments = [(a, b, b - a) for a, b in zip(edges[:-1], edges[1:])]
         for a, b, gap in segments:
             delta = 1e-4 * gap
             xs = np.linspace(a + delta, b - delta, per_interval)
@@ -358,7 +360,8 @@ def _build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--samples", type=int, default=None,
                         help="sampling density (per-subcommand meaning)")
     shared.add_argument("--jobs", type=int, default=None,
-                        help="worker threads (default: MWS_JOBS or 1)")
+                        help="worker threads for the channel eigenbases "
+                             "(default: MWS_JOBS or 1)")
 
     parser = argparse.ArgumentParser(
         prog="mws",

@@ -8,7 +8,6 @@ between consecutive poles carries exactly one root.
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,22 +96,9 @@ class RealisationEnsemble:
     n_r: int
 
 
-def _solve_rational(poles: np.ndarray, weights: np.ndarray, epsilon0: float) -> RootSet:
-    if len(poles) == 0:
-        # f(eps) = eps0 - eps: the single root is eps0 itself
-        return RootSet(
-            roots=np.array([epsilon0]),
-            bracket_lo=np.array([epsilon0 - 1.0]),
-            bracket_hi=np.array([epsilon0 + 1.0]),
-            f_lo=np.array([1.0]),
-            f_hi=np.array([-1.0]),
-            residuals=np.array([0.0]),
-        )
-    roots, lo, hi, flo, fhi = _kernels.solve_secular(poles, weights, epsilon0)
-    res = np.array([abs(_kernels.secular_residual(poles, weights, epsilon0, r))
-                    for r in roots])
-    return RootSet(roots=roots, bracket_lo=lo, bracket_hi=hi,
-                   f_lo=flo, f_hi=fhi, residuals=res)
+def _solve_rational(tables: list[tuple[np.ndarray, np.ndarray, float]]) -> list[RootSet]:
+    """Certified roots of every (poles, weights, eps0) table in one batch."""
+    return [RootSet(*columns) for columns in _kernels.solve_secular_batch(tables)]
 
 
 def find_roots(table: PoleWeightTable, epsilon0: float) -> RootSet:
@@ -122,11 +108,30 @@ def find_roots(table: PoleWeightTable, epsilon0: float) -> RootSet:
             "guaranteed root finding needs the rational (approximate) form; "
             "use find_roots_exact for the diagnostic scan"
         )
-    return _solve_rational(table.poles, table.weights, epsilon0)
+    return _solve_rational([(table.poles, table.weights, epsilon0)])[0]
 
 
 # Python float powers: numpy's `10.0 ** array` rounds some of these differently
 _NEAR_POLE_SCALES = np.array([10.0 ** (-j) for j in range(12, 0, -1)])
+
+
+def exact_scan_edges(table: PoleWeightTable, epsilon0: float) -> list[float]:
+    """Interval edges of the exact-mode scan: a lower bound, the poles below E, E.
+
+    The exact relation is defined only up to epsilon = E, so poles at or
+    above E bound nothing.
+    """
+    e = table.total_energy
+    poles = [float(p) for p in table.poles if p < e]
+    if poles:
+        spread = poles[-1] - poles[0] if len(poles) > 1 else 0.0
+        lo = min(poles[0], epsilon0) - (spread + 1.0)
+    else:
+        lo = epsilon0 - 1.0
+    hi = e
+    if hi <= lo:
+        lo = hi - max(1.0, abs(hi))
+    return [lo] + [p for p in poles if lo < p < hi] + [hi]
 
 
 def find_roots_exact(table: PoleWeightTable, epsilon0: float,
@@ -141,17 +146,8 @@ def find_roots_exact(table: PoleWeightTable, epsilon0: float,
     """
     if not (table.spatial and table.mode == "exact"):
         return find_roots(table, epsilon0).roots
-    e = table.total_energy
-    poles = [float(p) for p in table.poles if p < e]
-    if poles:
-        spread = poles[-1] - poles[0] if len(poles) > 1 else 0.0
-        lo = min(poles[0], epsilon0) - (spread + 1.0)
-    else:
-        lo = epsilon0 - 1.0
-    hi = e
-    if hi <= lo:
-        lo = hi - max(1.0, abs(hi))
-    edges = [lo] + [p for p in poles if lo < p < hi] + [hi]
+    edges = exact_scan_edges(table, epsilon0)
+    hi = edges[-1]
 
     def f(eps: np.ndarray) -> np.ndarray:
         # NaN where the exact relation is undefined
@@ -256,36 +252,35 @@ def _assert_rootset(state: StateSpectrum) -> None:
     worst = int(np.argmax(rs.residuals - bound))
     if rs.residuals[worst] > bound[worst]:
         raise SolverError(
-            f"residual {rs.residuals[worst]!r} at root {rs.roots[worst]!r} "
+            f"residual {float(rs.residuals[worst])} at root {float(rs.roots[worst])} "
             f"(base state {state.n}) exceeds 1e-9*max(1,|eps|)"
         )
 
 
 def solve_spectrum(spec: SystemSpec, jobs: int = 1) -> SpectrumResult:
-    """Full pipeline: bases, pole tables, roots per base state, counts."""
+    """Full pipeline: bases, pole tables, roots per base state, counts.
+
+    `jobs` threads solve the channel eigenbases (see `build_bases`); the
+    roots of all base states are found in one batch.
+    """
     bases = build_bases(spec, jobs=jobs)
     counts = count_solutions(spec)
     exact_spatial = spec.denominator_mode == "exact" and spec.is_spatial
-
-    def solve_one(n: int) -> StateSpectrum:
-        table = build_pole_weight_table(spec, bases, n)
-        eps0 = float(bases.base.eigenvalues[n - 1])
-        if exact_spatial:
+    ns = range(1, spec.n_base + 1)
+    tables = [build_pole_weight_table(spec, bases, n) for n in ns]
+    eps0s = [float(bases.base.eigenvalues[n - 1]) for n in ns]
+    if exact_spatial:
+        rootsets = []
+        for table, eps0 in zip(tables, eps0s):
             roots = find_roots_exact(table, eps0)
             nans = np.full(len(roots), np.nan)
-            rs = RootSet(roots=roots, bracket_lo=nans, bracket_hi=nans,
-                         f_lo=nans, f_hi=nans, residuals=nans)
-        else:
-            rs = find_roots(table, eps0)
-        return StateSpectrum(n=n, epsilon0=eps0, table=table, rootset=rs)
-
-    ns = range(1, spec.n_base + 1)
-    if jobs > 1 and spec.n_base > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(solve_one, n) for n in ns]
-            states = tuple(f.result() for f in futures)  # fixed n order
+            rootsets.append(RootSet(roots=roots, bracket_lo=nans, bracket_hi=nans,
+                                    f_lo=nans, f_hi=nans, residuals=nans))
     else:
-        states = tuple(solve_one(n) for n in ns)
+        rootsets = _solve_rational([(t.poles, t.weights, e)
+                                    for t, e in zip(tables, eps0s)])
+    states = tuple(StateSpectrum(n=n, epsilon0=e, table=t, rootset=rs)
+                   for n, e, t, rs in zip(ns, eps0s, tables, rootsets))
 
     if not exact_spatial:
         for st in states:
@@ -429,7 +424,7 @@ def appendix_auxiliary_roots(spec: SystemSpec, base0: EigenBasis, k: int,
         poles = np.array(keep_p)
         weights = np.array(keep_w)
     eps0 = float(base0.eigenvalues[n - 1])
-    rs = _solve_rational(poles, weights, eps0)
+    rs = _solve_rational([(poles, weights, eps0)])[0]
     return AppendixRoots(k=k, n=n, poles=poles, weights=weights, rootset=rs)
 
 

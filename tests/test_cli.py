@@ -10,6 +10,9 @@ import pytest
 from conftest import fig_anchor_harmonics, gaussian, spatial_config, \
     temporal_config, weak_harmonics
 from mws.cli import main
+from mws.effpot import build_bases, build_pole_weight_table
+from mws.model import build_spec
+from mws.spectra import find_roots_exact
 
 
 def write_config(tmp_path, cfg, name="config.json"):
@@ -210,6 +213,28 @@ def test_figure1_anchor_counts(tmp_path):
     eps = np.array([float(r[1]) for r in curve])
     line = np.array([float(r[3]) for r in curve])
     assert np.allclose(eps - line, (eps - line)[0], atol=1e-9)
+
+
+def test_figure1_exact_mode_spatial(tmp_path):
+    # exact square-root denominators: intersections come from the exact scan
+    # and every curve segment ends at or below E
+    cfg = spatial_config(fig_anchor_harmonics(), energy=12.0)
+    cfg_path = write_config(tmp_path, cfg)
+    out = tmp_path / "out"
+    assert run(["figure1", "--config", cfg_path, "--out", str(out),
+                "--samples", "40", "--mode", "exact"]) == 0
+    _, inter = read_rows(out / "intersections.csv")
+    spec = build_spec(dict(cfg, modes={"denominator": "exact", "basis": "unperturbed"}))
+    bases = build_bases(spec)
+    table = build_pole_weight_table(spec, bases, 1)
+    want = find_roots_exact(table, float(bases.base.eigenvalues[0]))
+    assert [float(r[2]) for r in inter] == want.tolist()
+    assert len(want) > 0 and np.all(want <= 12.0)
+    _, curve = read_rows(out / "curve.csv")
+    eps = np.array([float(r[1]) for r in curve])
+    below = table.poles[table.poles < 12.0]
+    assert len(curve) == 40 * (len(below) + 1)
+    assert np.all(eps < 12.0)
 
 
 def test_figure1_multi_state_warns(tmp_path):

@@ -8,13 +8,14 @@ from hypothesis import strategies as st
 from conftest import gaussian, spatial_config, temporal_config, weak_harmonics
 from mws.effpot import PoleEntry, PoleMember, PoleWeightTable, build_bases, \
     build_pole_weight_table
-from mws.errors import SolverError, UnsupportedModeError
+from mws.errors import BracketError, SolverError, UnsupportedModeError
 from mws.model import build_spec, scale_amplitudes
 from mws.spectra import (
     CountReport,
     RootSet,
     SpectrumResult,
     StateSpectrum,
+    _assert_rootset,
     appendix_auxiliary_roots,
     appendix_k_shift,
     assert_interlacing,
@@ -55,6 +56,22 @@ def test_empty_table_root_is_eps0_exactly():
     rs = find_roots(table, 1.875)
     assert rs.roots.tolist() == [1.875]
     assert rs.residuals.tolist() == [0.0]
+
+
+def test_error_messages_print_plain_floats():
+    # a residual-gate failure and a vanishing-weight bracket failure
+    table = synthetic_table([0.0, 1.0], [1.0, 1.0])
+    rs = find_roots(table, 0.5)
+    bad = RootSet(roots=rs.roots, bracket_lo=rs.bracket_lo, bracket_hi=rs.bracket_hi,
+                  f_lo=rs.f_lo, f_hi=rs.f_hi, residuals=np.full(3, 0.5))
+    messages = []
+    with pytest.raises(SolverError, match="residual 0.5 at root") as gate:
+        _assert_rootset(StateSpectrum(n=1, epsilon0=0.5, table=table, rootset=bad))
+    messages.append(str(gate.value))
+    with pytest.raises(BracketError, match="pole 1.0") as bracket:
+        find_roots(synthetic_table([0.0, 1.0], [1.0, 5e-324]), 0.5)
+    messages.append(str(bracket.value))
+    assert not any("np.float64(" in m for m in messages)
 
 
 def test_single_pole_symmetric_roots():
