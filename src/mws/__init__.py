@@ -42,6 +42,7 @@ from mws.effpot import (
     apply_effective_potential,
     build_bases,
     build_pole_weight_table,
+    build_pole_weight_tables,
     ep_kernel_eval,
     ep_kernel_matrix,
     exact_pole_pair,
@@ -87,7 +88,8 @@ __all__ = [
     "EigenBasis", "green_function", "matrix_element",
     "solve_base_eigenproblem", "solve_v1_eigenproblem",
     "ChannelBases", "PoleWeightTable", "apply_effective_potential",
-    "build_bases", "build_pole_weight_table", "ep_kernel_eval",
+    "build_bases", "build_pole_weight_table", "build_pole_weight_tables",
+    "ep_kernel_eval",
     "ep_kernel_matrix", "exact_pole_pair", "pole_position",
     "series_ep_kernel", "vnn_eval",
     "CountReport", "RealisationEnsemble", "SpectrumResult",

@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 import time
 import warnings
@@ -18,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from mws import __version__
-from mws.effpot import build_bases, build_pole_weight_table, ep_kernel_matrix, \
+from mws.effpot import build_bases, build_pole_weight_tables, ep_kernel_matrix, \
     vnn_eval
 from mws.errors import ConfigError, MwsError, SolverError
 from mws.model import SystemSpec, build_spec
@@ -79,20 +78,8 @@ def _apply_overrides(doc: dict, args) -> dict:
     return out
 
 
-def _resolve_jobs(args) -> int:
-    if args.jobs is not None:
-        return max(1, args.jobs)
-    env = os.environ.get("MWS_JOBS", "").strip()
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise ConfigError(f"MWS_JOBS must be an integer, got {env!r}") from exc
-    return 1
-
-
 def _manifest(out_dir: Path, subcommand: str, digest: str, outputs: list[str],
-              spec: SystemSpec, jobs: int, started: float) -> None:
+              spec: SystemSpec, started: float) -> None:
     payload = {
         "config_sha256": digest,
         "subcommand": subcommand,
@@ -101,13 +88,12 @@ def _manifest(out_dir: Path, subcommand: str, digest: str, outputs: list[str],
         "version": __version__,
         "mode": spec.denominator_mode,
         "backend": spec.basis_backend,
-        "jobs": jobs,
     }
     _write_json(out_dir / "manifest.json", payload)
 
 
-def cmd_basis(spec: SystemSpec, out_dir: Path, args, jobs: int) -> list[str]:
-    bases = build_bases(spec, jobs=jobs)
+def cmd_basis(spec: SystemSpec, out_dir: Path, args) -> list[str]:
+    bases = build_bases(spec)
     b = bases.base
     header = ["n", "eigenvalue"] + [f"psi_{i}" for i in range(spec.grid_points)]
     rows = []
@@ -118,8 +104,8 @@ def cmd_basis(spec: SystemSpec, out_dir: Path, args, jobs: int) -> list[str]:
     return ["basis.csv"]
 
 
-def _spectrum_outputs(spec: SystemSpec, out_dir: Path, jobs: int):
-    result = solve_spectrum(spec, jobs=jobs)
+def _spectrum_outputs(spec: SystemSpec, out_dir: Path):
+    result = solve_spectrum(spec)
 
     rows = []
     for st in result.states:
@@ -179,15 +165,15 @@ def _spectrum_outputs(spec: SystemSpec, out_dir: Path, jobs: int):
     return result, ["roots.csv", "poles.csv", "counts.json", "realisations.json"]
 
 
-def cmd_spectrum(spec: SystemSpec, out_dir: Path, args, jobs: int) -> list[str]:
-    _, outputs = _spectrum_outputs(spec, out_dir, jobs)
+def cmd_spectrum(spec: SystemSpec, out_dir: Path, args) -> list[str]:
+    _, outputs = _spectrum_outputs(spec, out_dir)
     return outputs
 
 
-def cmd_kernel(spec: SystemSpec, out_dir: Path, args, jobs: int) -> list[str]:
+def cmd_kernel(spec: SystemSpec, out_dir: Path, args) -> list[str]:
     if args.epsilon is None:
         raise ConfigError("the kernel subcommand needs --epsilon")
-    bases = build_bases(spec, jobs=jobs)
+    bases = build_bases(spec)
     k = ep_kernel_matrix(spec, bases, args.epsilon)
     stride = args.stride if args.stride else max(1, (spec.grid_points - 1) // 256)
     idx = range(0, spec.grid_points, stride)
@@ -201,8 +187,8 @@ def cmd_kernel(spec: SystemSpec, out_dir: Path, args, jobs: int) -> list[str]:
     return outputs
 
 
-def cmd_reconstruct(spec: SystemSpec, out_dir: Path, args, jobs: int) -> list[str]:
-    result, _ = _spectrum_outputs(spec, out_dir, jobs)
+def cmd_reconstruct(spec: SystemSpec, out_dir: Path, args) -> list[str]:
+    result, _ = _spectrum_outputs(spec, out_dir)
     try:
         ensemble = group_realisations(result)
     except SolverError:
@@ -216,7 +202,7 @@ def cmd_reconstruct(spec: SystemSpec, out_dir: Path, args, jobs: int) -> list[st
     roots_by_n: dict[int, float] = {}
     for m in match[0].members:
         roots_by_n.setdefault(m.n, m.value)  # lowest root per base state
-    bases = build_bases(spec, jobs=jobs)
+    bases = build_bases(spec)
     n_second = args.samples if args.samples else 65
     field = assemble_wavefunction(spec, bases, roots_by_n, n_second=n_second,
                                   allow_evanescent=args.allow_evanescent)
@@ -239,7 +225,7 @@ def cmd_reconstruct(spec: SystemSpec, out_dir: Path, args, jobs: int) -> list[st
             "field.csv", "heatmap.dat"]
 
 
-def cmd_verify(spec: SystemSpec, out_dir: Path, args, jobs: int) -> list[str]:
+def cmd_verify(spec: SystemSpec, out_dir: Path, args) -> list[str]:
     reports = run_all_oracles(spec)
     _write_json(out_dir / "verify.json", {
         "reports": [r.as_dict() for r in reports],
@@ -248,17 +234,16 @@ def cmd_verify(spec: SystemSpec, out_dir: Path, args, jobs: int) -> list[str]:
     return ["verify.json"]
 
 
-def cmd_figure1(spec: SystemSpec, out_dir: Path, args, jobs: int) -> list[str]:
+def cmd_figure1(spec: SystemSpec, out_dir: Path, args) -> list[str]:
     if spec.n_base != 1:
         warnings.warn("the graphical dump is designed for a single base state")
-    bases = build_bases(spec, jobs=jobs)
+    bases = build_bases(spec)
     per_interval = args.samples if args.samples else 200
 
     curve_rows = []
     asym_rows = []
     root_rows = []
-    for n in range(1, spec.n_base + 1):
-        table = build_pole_weight_table(spec, bases, n)
+    for n, table in enumerate(build_pole_weight_tables(spec, bases), start=1):
         eps0 = float(bases.base.eigenvalues[n - 1])
         poles = table.poles
         for entry in table.entries:
@@ -312,7 +297,7 @@ def _set_by_path(doc: dict, dotted: str, value: float) -> dict:
     return out
 
 
-def cmd_sweep(spec_doc: dict, out_dir: Path, args, jobs: int) -> list[str]:
+def cmd_sweep(spec_doc: dict, out_dir: Path, args) -> list[str]:
     if not args.param:
         raise ConfigError("the sweep subcommand needs --param")
     if not args.values:
@@ -328,7 +313,7 @@ def cmd_sweep(spec_doc: dict, out_dir: Path, args, jobs: int) -> list[str]:
     for value in values:
         doc = _set_by_path(spec_doc, args.param, value)
         spec = build_spec(doc)
-        result = solve_spectrum(spec, jobs=jobs)
+        result = solve_spectrum(spec)
         eigs = coupled_matrix_diagonalization(spec).eigenvalues
         roots = np.array([v for (_, _, v) in result.all_roots()])
         dist = subset_recovery_distance(roots, eigs)
@@ -360,8 +345,7 @@ def _build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--samples", type=int, default=None,
                         help="sampling density (per-subcommand meaning)")
     shared.add_argument("--jobs", type=int, default=None,
-                        help="worker threads for the channel eigenbases "
-                             "(default: MWS_JOBS or 1)")
+                        help="ignored; accepted for compatibility")
 
     parser = argparse.ArgumentParser(
         prog="mws",
@@ -400,16 +384,15 @@ def main(argv=None) -> int:
     try:
         doc, digest = _load_config(args.config)
         doc = _apply_overrides(doc, args)
-        jobs = _resolve_jobs(args)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         if args.subcommand == "sweep":
             spec = build_spec(doc)
-            outputs = cmd_sweep(doc, out_dir, args, jobs)
+            outputs = cmd_sweep(doc, out_dir, args)
         else:
             spec = build_spec(doc)
-            outputs = _COMMANDS[args.subcommand](spec, out_dir, args, jobs)
-        _manifest(out_dir, args.subcommand, digest, outputs, spec, jobs, started)
+            outputs = _COMMANDS[args.subcommand](spec, out_dir, args)
+        _manifest(out_dir, args.subcommand, digest, outputs, spec, started)
         return EXIT_OK
     except ConfigError as exc:
         _emit_error(exc, EXIT_CONFIG)

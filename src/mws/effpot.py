@@ -8,16 +8,15 @@ approximate regime) plus a nonlocal integral kernel; both live here.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping
 
 import numpy as np
 
 from mws import _kernels
 from mws.errors import PoleProximityError, SolverError, UnsupportedModeError
-from mws.eigenbasis import EigenBasis, matrix_element, solve_base_eigenproblem, \
-    solve_v1_eigenproblem
+from mws.eigenbasis import EigenBasis, matrix_element_block, solve_base_eigenproblem, \
+    solve_v1_eigenproblem, v1_potential
 from mws.model import ChannelEnergy, SystemSpec, channel_energies
 
 
@@ -29,25 +28,27 @@ class ChannelBases:
     channels: Mapping[int, EigenBasis]  # keyed by harmonic index
 
 
-def build_bases(spec: SystemSpec, jobs: int = 1) -> ChannelBases:
+def build_bases(spec: SystemSpec) -> ChannelBases:
     """Solve the eigenproblems the spec's basis backend calls for.
 
-    The "unperturbed" backend shares one basis across all channels; the "v1"
-    backend diagonalizes a separate potential per excluded harmonic.
+    The "unperturbed" backend shares one basis across all channels. The "v1"
+    backend diagonalizes h0 + V1 once per distinct potential V1 (channels +-k
+    of a real drive, or a V1 equal to V0, share one); each channel gets a
+    basis over those arrays tagged with its own index.
     """
     base = solve_base_eigenproblem(spec)
     if spec.basis_backend == "unperturbed":
         channels = {h.index: base for h in spec.harmonics}
         return ChannelBases(base=base, channels=channels)
 
-    indices = [h.index for h in spec.harmonics]
-    if jobs > 1 and len(indices) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(solve_v1_eigenproblem, spec, k) for k in indices]
-            solved = [f.result() for f in futures]  # gathered in index order
-    else:
-        solved = [solve_v1_eigenproblem(spec, k) for k in indices]
-    return ChannelBases(base=base, channels=dict(zip(indices, solved)))
+    solved = {spec.base_potential.tobytes(): base}
+    channels = {}
+    for k in spec.indices:
+        key = v1_potential(spec, k).tobytes()
+        if key not in solved:
+            solved[key] = solve_v1_eigenproblem(spec, k)
+        channels[k] = replace(solved[key], backend_tag=f"v1[k={k}]")
+    return ChannelBases(base=base, channels=channels)
 
 
 @dataclass(frozen=True)
@@ -148,55 +149,77 @@ def exact_pole_general(eps0_aux: float, eps_p: float, total_energy: float,
         + 2.0 * cos_alpha * math.sqrt(arg)
 
 
+def build_pole_weight_tables(spec: SystemSpec, bases: ChannelBases) -> list[PoleWeightTable]:
+    """The (pole, weight) tables of base states 1..N_s under the spec mode."""
+    return _build_tables(spec, bases, range(1, spec.n_base + 1))
+
+
 def build_pole_weight_table(spec: SystemSpec, bases: ChannelBases, n: int) -> PoleWeightTable:
-    """Assemble the (pole, weight) list for base state n under the spec mode."""
+    """The (pole, weight) table of base state n under the spec mode."""
     if not (1 <= n <= spec.n_base):
         raise IndexError(f"base state {n} out of range 1..{spec.n_base}")
-    raw: list[PoleMember] = []
-    for channel in channel_energies(spec):
-        harm = spec.harmonic(channel.index)
-        basis = bases.channels[channel.index]
-        for n_prime in range(1, spec.n_prime + 1):
-            elem = matrix_element(basis, bases.base, harm.amplitude, n_prime, n)
-            w = abs(elem) ** 2
-            if w == 0.0:
-                continue
-            eps0_aux = float(basis.eigenvalues[n_prime - 1])
-            raw.append(PoleMember(channel.index, n_prime, w, eps0_aux,
-                                  channel.epsilon_p, channel.cos_alpha))
+    return _build_tables(spec, bases, [n])[0]
 
+
+def _build_tables(spec: SystemSpec, bases: ChannelBases, ns) -> list[PoleWeightTable]:
+    """Tables of the base states ns; each one's weights, poles and errors
+    are those of its own members, in (channel, n') order.
+
+    Weights come from one matrix-element block per channel; pole positions
+    and the (pole, channel, n') order are computed once for all states.
+    """
     mode = spec.denominator_mode
-    scored = sorted(
-        ((pole_position(spec, ch, m.eps0_aux, mode), m)
-         for ch, m in _with_channels(spec, raw)),
-        key=lambda t: (t[0], t[1].channel, t[1].n_prime),
-    )
-    poles = [p for p, _ in scored]
-    spread = (poles[-1] - poles[0]) if len(poles) > 1 else 0.0
-    merge_tol = 1e-9 * spread
+    n_top = max(ns)
+    members = []   # (channel, n', eps0_aux, eps_p, cos_alpha), (channel, n') order
+    blocks = []
+    poles: dict[int, float] = {}
+    failed: dict[int, SolverError] = {}
+    for channel in channel_energies(spec):
+        basis = bases.channels[channel.index]
+        blocks.append(matrix_element_block(basis, bases.base,
+                                           spec.harmonic(channel.index).amplitude,
+                                           spec.n_prime, n_top))
+        for n_prime in range(1, spec.n_prime + 1):
+            eps0_aux = float(basis.eigenvalues[n_prime - 1])
+            try:
+                poles[len(members)] = pole_position(spec, channel, eps0_aux, mode)
+            except SolverError as exc:  # raised below for a state with this member
+                failed[len(members)] = exc
+            members.append((channel.index, n_prime, eps0_aux,
+                            channel.epsilon_p, channel.cos_alpha))
+    order = sorted(poles, key=lambda i: (poles[i], members[i][0], members[i][1]))
+    elems = np.concatenate(blocks) if blocks else np.zeros((0, n_top), dtype=complex)
 
-    entries: list[PoleEntry] = []
-    for p, member in scored:
-        if entries and p - entries[-1].pole <= merge_tol:
-            prev = entries[-1]
-            entries[-1] = PoleEntry(prev.pole, prev.weight + member.weight,
-                                    prev.members + (member,))
-        else:
-            entries.append(PoleEntry(p, member.weight, (member,)))
-    return PoleWeightTable(
-        base_state=n,
-        entries=tuple(entries),
-        merge_tol=merge_tol,
-        mode=mode,
-        total_energy=spec.total_energy,
-        spatial=spec.is_spatial,
-    )
+    tables = []
+    for n in ns:
+        weights = [abs(z) ** 2 for z in elems[:, n - 1].tolist()]
+        for i, exc in failed.items():
+            if weights[i] != 0.0:
+                raise exc
+        kept = [i for i in order if weights[i] != 0.0]
+        spread = poles[kept[-1]] - poles[kept[0]] if len(kept) > 1 else 0.0
+        merge_tol = 1e-9 * spread
 
-
-def _with_channels(spec: SystemSpec, members: list[PoleMember]):
-    by_index = {ch.index: ch for ch in channel_energies(spec)}
-    for m in members:
-        yield by_index[m.channel], m
+        entries: list[PoleEntry] = []
+        for i in kept:
+            p = poles[i]
+            channel, n_prime, eps0_aux, eps_p, cos_alpha = members[i]
+            member = PoleMember(channel, n_prime, weights[i], eps0_aux, eps_p, cos_alpha)
+            if entries and p - entries[-1].pole <= merge_tol:
+                prev = entries[-1]
+                entries[-1] = PoleEntry(prev.pole, prev.weight + member.weight,
+                                        prev.members + (member,))
+            else:
+                entries.append(PoleEntry(p, member.weight, (member,)))
+        tables.append(PoleWeightTable(
+            base_state=n,
+            entries=tuple(entries),
+            merge_tol=merge_tol,
+            mode=mode,
+            total_energy=spec.total_energy,
+            spatial=spec.is_spatial,
+        ))
+    return tables
 
 
 def vnn_eval(table: PoleWeightTable, epsilon: float) -> float:

@@ -108,7 +108,9 @@ def v1_potential(spec: SystemSpec, excluded_index: int) -> np.ndarray:
     if excluded_index not in spec.indices:
         raise EigenSolveError(f"excluded index {excluded_index} is not a retained harmonic")
     v1 = spec.base_potential.astype(complex)
-    for harm in spec.harmonics:
+    # summed in (|k|, k) order, so that channels +-k of a drive with
+    # A_k == A_-k get bitwise-equal potentials (and `build_bases` one eigensolve)
+    for harm in sorted(spec.harmonics, key=lambda h: (abs(h.index), h.index)):
         if harm.index != excluded_index:
             v1 = v1 + harm.amplitude
     scale = np.max(np.abs(v1)) if len(v1) else 0.0
@@ -129,9 +131,8 @@ def solve_v1_eigenproblem(spec: SystemSpec, excluded_index: int,
     return _diagonalize(v1, spec.grid, n_states, f"v1[k={excluded_index}]")
 
 
-def matrix_element(bra_basis: EigenBasis, ket_basis: EigenBasis,
-                   amplitude: np.ndarray, n_prime: int, n: int) -> complex:
-    """<psi_{n'} | V | psi_n> under the stored quadrature (1-based indices)."""
+def _check_operands(bra_basis: EigenBasis, ket_basis: EigenBasis,
+                    amplitude: np.ndarray, n_prime: int, n: int) -> None:
     if not (1 <= n_prime <= bra_basis.n_states):
         raise IndexError(f"n'={n_prime} out of range 1..{bra_basis.n_states}")
     if not (1 <= n <= ket_basis.n_states):
@@ -141,9 +142,29 @@ def matrix_element(bra_basis: EigenBasis, ket_basis: EigenBasis,
         raise ValueError("bra and ket bases live on different grids")
     if len(amplitude) != len(bra_basis.grid):
         raise ValueError("amplitude samples do not match the basis grid")
+
+
+def matrix_element(bra_basis: EigenBasis, ket_basis: EigenBasis,
+                   amplitude: np.ndarray, n_prime: int, n: int) -> complex:
+    """<psi_{n'} | V | psi_n> under the stored quadrature (1-based indices)."""
+    _check_operands(bra_basis, ket_basis, amplitude, n_prime, n)
     bra = bra_basis.eigenfunctions[n_prime - 1]
     ket = ket_basis.eigenfunctions[n - 1]
     return complex(np.sum(bra_basis.quad_weights * np.conjugate(bra) * amplitude * ket))
+
+
+def matrix_element_block(bra_basis: EigenBasis, ket_basis: EigenBasis,
+                         amplitude: np.ndarray, n_prime: int, n: int) -> np.ndarray:
+    """Every <psi_{n'} | V | psi_m> with n' <= n_prime and m <= n, shape (n_prime, n).
+
+    Each entry is bitwise equal to `matrix_element`: the factors are multiplied
+    in the same order and each row is reduced on its own.
+    """
+    _check_operands(bra_basis, ket_basis, amplitude, n_prime, n)
+    bra = bra_basis.eigenfunctions[:n_prime]
+    ket = ket_basis.eigenfunctions[:n]
+    terms = (bra_basis.quad_weights * np.conjugate(bra))[:, None, :] * amplitude * ket[None]
+    return np.sum(terms, axis=-1)
 
 
 def green_function(basis: EigenBasis, epsilon_s_channel: float,

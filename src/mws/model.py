@@ -6,7 +6,7 @@ Dimensionless units throughout: hbar = m = 1.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Any, Mapping, Sequence
 
 import numpy as np
@@ -64,13 +64,13 @@ class SystemSpec:
     denominator_mode: str               # "approx" | "exact"
     basis_backend: str                  # "unperturbed" | "v1"
     declared_real: bool = False
+    grid: np.ndarray = field(init=False, repr=False)  # read-only, built once
 
     def __post_init__(self):
         self.base_potential.setflags(write=False)
-
-    @property
-    def grid(self) -> np.ndarray:
-        return np.linspace(0.0, self.box_length, self.grid_points)
+        grid = np.linspace(0.0, self.box_length, self.grid_points)
+        grid.setflags(write=False)
+        object.__setattr__(self, "grid", grid)
 
     @property
     def grid_step(self) -> float:
@@ -299,8 +299,7 @@ def _check_real_pairing(spec: SystemSpec) -> None:
                 f"perturbation declared real but harmonic {-h.index} is missing "
                 f"(pair of {h.index})"
             )
-        if not np.allclose(partner.amplitude, np.conjugate(h.amplitude),
-                           rtol=0.0, atol=0.0):
+        if not np.array_equal(partner.amplitude, np.conjugate(h.amplitude)):
             raise ConfigError(
                 f"perturbation declared real but amplitude of harmonic {-h.index} "
                 f"is not the conjugate of harmonic {h.index}"

@@ -14,7 +14,7 @@ import numpy as np
 
 from mws import _kernels
 from mws.effpot import ChannelBases, PoleWeightTable, _exact_vnn, \
-    apply_effective_potential, build_bases, build_pole_weight_table
+    apply_effective_potential, build_bases, build_pole_weight_tables
 from mws.eigenbasis import EigenBasis, apply_kinetic, matrix_element, \
     solve_base_eigenproblem
 from mws.errors import SolverError, UnsupportedModeError
@@ -257,17 +257,16 @@ def _assert_rootset(state: StateSpectrum) -> None:
         )
 
 
-def solve_spectrum(spec: SystemSpec, jobs: int = 1) -> SpectrumResult:
+def solve_spectrum(spec: SystemSpec) -> SpectrumResult:
     """Full pipeline: bases, pole tables, roots per base state, counts.
 
-    `jobs` threads solve the channel eigenbases (see `build_bases`); the
-    roots of all base states are found in one batch.
+    The roots of all base states are found in one batch.
     """
-    bases = build_bases(spec, jobs=jobs)
+    bases = build_bases(spec)
     counts = count_solutions(spec)
     exact_spatial = spec.denominator_mode == "exact" and spec.is_spatial
     ns = range(1, spec.n_base + 1)
-    tables = [build_pole_weight_table(spec, bases, n) for n in ns]
+    tables = build_pole_weight_tables(spec, bases)
     eps0s = [float(bases.base.eigenvalues[n - 1]) for n in ns]
     if exact_spatial:
         rootsets = []

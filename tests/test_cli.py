@@ -51,41 +51,9 @@ def test_spectrum_artifacts_and_counts(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["subcommand"] == "spectrum"
     assert len(manifest["config_sha256"]) == 64
-    assert manifest["jobs"] == 1
     assert manifest["mode"] == "approx"
     assert set(manifest["outputs"]) == {"roots.csv", "poles.csv", "counts.json",
                                         "realisations.json"}
-
-
-def test_spectrum_deterministic_across_jobs(tmp_path):
-    cfg_path = write_config(tmp_path, temporal_config(weak_harmonics()))
-    out1, out2, out4 = (tmp_path / d for d in ("o1", "o2", "o4"))
-    assert run(["spectrum", "--config", cfg_path, "--out", str(out1)]) == 0
-    assert run(["spectrum", "--config", cfg_path, "--out", str(out2)]) == 0
-    assert run(["spectrum", "--config", cfg_path, "--out", str(out4),
-                "--jobs", "4"]) == 0
-    for name in ("roots.csv", "poles.csv", "counts.json", "realisations.json"):
-        ref = (out1 / name).read_bytes()
-        assert (out2 / name).read_bytes() == ref
-        assert (out4 / name).read_bytes() == ref
-    assert json.loads((out4 / "manifest.json").read_text())["jobs"] == 4
-
-
-def test_jobs_env_fallback(tmp_path, monkeypatch):
-    cfg_path = write_config(tmp_path, temporal_config(weak_harmonics()))
-    out = tmp_path / "out"
-    monkeypatch.setenv("MWS_JOBS", "3")
-    assert run(["spectrum", "--config", cfg_path, "--out", str(out)]) == 0
-    assert json.loads((out / "manifest.json").read_text())["jobs"] == 3
-
-
-def test_jobs_env_invalid_is_config_error(tmp_path, monkeypatch, capsys):
-    cfg_path = write_config(tmp_path, temporal_config(weak_harmonics()))
-    monkeypatch.setenv("MWS_JOBS", "many")
-    assert run(["spectrum", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 2
-    err = json.loads(capsys.readouterr().err.strip())
-    assert err["exit_code"] == 2
-    assert "MWS_JOBS" in err["message"]
 
 
 @pytest.mark.filterwarnings("ignore:root count")

@@ -1,13 +1,19 @@
 """Pole positions, weight tables, kernel evaluation, and operator action."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from conftest import gaussian, spatial_config, temporal_config
+from conftest import fig_anchor_harmonics, gaussian, spatial_config, temporal_config
 from mws.effpot import (
+    ChannelBases,
+    PoleEntry,
+    PoleMember,
     apply_effective_potential,
     build_bases,
     build_pole_weight_table,
+    build_pole_weight_tables,
     ep_kernel_eval,
     ep_kernel_matrix,
     exact_pole_general,
@@ -16,6 +22,7 @@ from mws.effpot import (
     series_ep_kernel,
     vnn_eval,
 )
+from mws.eigenbasis import matrix_element
 from mws.errors import PoleProximityError, SolverError
 from mws.model import build_spec, channel_energies
 from mws.spectra import find_roots
@@ -115,6 +122,131 @@ def test_table_merges_coincident_poles():
     assert entry.weight == pytest.approx(sum(m.weight for m in entry.members),
                                          rel=1e-15)
     assert {(m.channel, m.n_prime) for m in entry.members} == {(1, 1), (-1, 2)}
+
+
+def reference_table(spec, bases, n):
+    """(merge_tol, entries) of base state n from one matrix_element call per
+    (channel, n') member, sorted and merged member by member."""
+    raw = []
+    for channel in channel_energies(spec):
+        basis = bases.channels[channel.index]
+        amp = spec.harmonic(channel.index).amplitude
+        for n_prime in range(1, spec.n_prime + 1):
+            w = abs(matrix_element(basis, bases.base, amp, n_prime, n)) ** 2
+            if w == 0.0:
+                continue
+            raw.append((channel, PoleMember(channel.index, n_prime, w,
+                                            float(basis.eigenvalues[n_prime - 1]),
+                                            channel.epsilon_p, channel.cos_alpha)))
+    scored = sorted(((pole_position(spec, ch, m.eps0_aux, spec.denominator_mode), m)
+                     for ch, m in raw),
+                    key=lambda t: (t[0], t[1].channel, t[1].n_prime))
+    poles = [p for p, _ in scored]
+    merge_tol = 1e-9 * ((poles[-1] - poles[0]) if len(poles) > 1 else 0.0)
+    entries = []
+    for p, m in scored:
+        if entries and p - entries[-1].pole <= merge_tol:
+            prev = entries[-1]
+            entries[-1] = PoleEntry(prev.pole, prev.weight + m.weight, prev.members + (m,))
+        else:
+            entries.append(PoleEntry(p, m.weight, (m,)))
+    return merge_tol, tuple(entries)
+
+
+def assert_tables_match_reference(spec, bases=None):
+    bases = bases or build_bases(spec)
+    tables = build_pole_weight_tables(spec, bases)
+    assert [t.base_state for t in tables] == list(range(1, spec.n_base + 1))
+    for n, table in enumerate(tables, start=1):
+        merge_tol, entries = reference_table(spec, bases, n)
+        # repr spells every float exactly, so equal reprs mean equal bits
+        assert repr(table.merge_tol) == repr(merge_tol)
+        assert repr(table.entries) == repr(entries)
+        assert repr(build_pole_weight_table(spec, bases, n).entries) == repr(entries)
+    return tables
+
+
+@pytest.mark.parametrize("n_base", (1, 2, 4))
+@pytest.mark.parametrize("n_prime", (1, 2, 4))
+@pytest.mark.parametrize("kind,denominator,basis", [
+    ("temporal", "approx", "unperturbed"),
+    ("temporal", "approx", "v1"),
+    ("temporal", "exact", "unperturbed"),
+    ("temporal", "exact", "v1"),
+    ("spatial", "approx", "unperturbed"),
+    ("spatial", "exact", "unperturbed"),
+])
+def test_tables_equal_per_state_reference(kind, denominator, basis, n_prime, n_base):
+    harmonics = fig_anchor_harmonics()
+    if basis == "unperturbed":
+        # complex couplings: abs() of a complex element rounds differently in numpy
+        for h in harmonics:
+            height = h["amplitude"]["height"]
+            h["amplitude"]["height"] = [height, 0.6 * height * np.sign(h["index"])]
+    if kind == "spatial":
+        cfg = spatial_config(harmonics, n_base=n_base, n_prime=n_prime,
+                             denominator=denominator)
+    else:
+        cfg = temporal_config(harmonics, n_base=n_base, n_prime=n_prime, basis=basis)
+        cfg["modes"]["denominator"] = denominator
+    tables = assert_tables_match_reference(build_spec(cfg))
+    assert all(len(t.entries) == 4 * n_prime for t in tables)
+
+
+def test_tables_equal_reference_with_zero_weights_and_merges():
+    # one zero channel drops its members; the merge case puts two on one pole
+    zero = {"kind": "constant", "value": 0.0}
+    one_sided = temporal_config([{"index": 1, "amplitude": gaussian(0.5, 0.5, 0.2)},
+                                 {"index": -1, "amplitude": zero}], n_base=2, n_prime=2)
+    tables = assert_tables_match_reference(build_spec(one_sided))
+    assert [[e.labels for e in t.entries] for t in tables] == [[((1, 1),), ((1, 2),)]] * 2
+    bump = gaussian(0.5, 0.5, 0.2)
+    cfg = temporal_config([{"index": k, "amplitude": bump} for k in (-1, 1)],
+                          omega=1.0, n_base=2, n_prime=2)
+    e1, e2 = build_bases(build_spec(cfg)).base.eigenvalues[:2]
+    cfg["perturbation"]["angular_frequency"] = 0.5 * float(e2 - e1)
+    tables = assert_tables_match_reference(build_spec(cfg))
+    assert any(len(e.members) > 1 for e in tables[0].entries)
+    # bitwise-equal poles: members of one entry follow (channel, n') order
+    spec = build_spec(temporal_config([{"index": k, "amplitude": bump} for k in (-1, 1)],
+                                      omega=1.0, n_base=2, n_prime=2))
+    base = build_bases(spec).base
+    levels = {1: [0.5, 3.0], -1: [2.5, 5.0]}   # poles 1.5 and 4.0 on both channels
+    bases = ChannelBases(base, {k: replace(base, eigenvalues=np.array(v))
+                                for k, v in levels.items()})
+    tables = assert_tables_match_reference(spec, bases)
+    assert [e.labels for e in tables[0].entries] == [((-1, 1), (1, 1)), ((-1, 2), (1, 2))]
+
+
+@pytest.mark.parametrize("denominator", ("approx", "exact"))
+def test_tables_zero_amplitudes_are_empty(denominator):
+    # exact mode with E below every channel level raises only for a member
+    # that has weight, so zero amplitudes give empty tables in both modes
+    zero = {"kind": "constant", "value": 0.0}
+    cfg = spatial_config([{"index": 1, "amplitude": zero},
+                          {"index": -1, "amplitude": zero}],
+                         energy=0.2 if denominator == "exact" else 12.0,
+                         n_base=3, n_prime=2, denominator=denominator)
+    tables = assert_tables_match_reference(build_spec(cfg))
+    assert [len(t.entries) for t in tables] == [0, 0, 0]
+    assert all(t.merge_tol == 0.0 for t in tables)
+
+
+def test_tables_exact_level_above_energy_same_error():
+    cfg = spatial_config(fig_anchor_harmonics(), energy=3.0, n_base=2, n_prime=4,
+                         denominator="exact")
+    spec = build_spec(cfg)
+    bases = build_bases(spec)
+    for n, build in ((1, lambda: build_pole_weight_tables(spec, bases)),
+                     (1, lambda: build_pole_weight_table(spec, bases, 1)),
+                     (2, lambda: build_pole_weight_table(spec, bases, 2))):
+        with pytest.raises(SolverError) as want:
+            reference_table(spec, bases, n)
+        with pytest.raises(SolverError) as got:
+            build()
+        assert type(got.value) is type(want.value)
+        assert str(got.value) == str(want.value)
+        assert "exact pole needs E >= eps0" in str(got.value)
 
 
 def test_vnn_single_entry_arithmetic():

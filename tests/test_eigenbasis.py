@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+import mws.eigenbasis as eigenbasis
 from conftest import L, gaussian, spatial_config, temporal_config
+from mws.effpot import build_bases
 from mws.eigenbasis import (
     apply_h0,
     apply_kinetic,
@@ -263,3 +265,57 @@ def test_v1_rejects_complex_summed_potential():
     spec = build_spec(cfg)
     with pytest.raises(EigenSolveError, match="imaginary"):
         v1_potential(spec, 1)
+
+
+def real_drive(n_p, height=0.3):
+    """Declared-real temporal drive: A_k == A_-k, a different bump per |k|."""
+    harmonics = []
+    for k in range(1, n_p // 2 + 1):
+        bump = gaussian(height / k, 0.3 + 0.1 * k, 0.2)
+        harmonics += [{"index": k, "amplitude": bump},
+                      {"index": -k, "amplitude": dict(bump)}]
+    cfg = temporal_config(harmonics, basis="v1", n_base=2, n_prime=3)
+    cfg["perturbation"]["real"] = True
+    return build_spec(cfg)
+
+
+def count_eigensolves(monkeypatch):
+    calls = []
+    solve = eigenbasis.eigh_tridiagonal
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(eigenbasis, "eigh_tridiagonal", counted)
+    return calls
+
+
+@pytest.mark.parametrize("n_p", (2, 4, 8))
+def test_conjugate_channels_share_one_eigenbasis(n_p, monkeypatch):
+    spec = real_drive(n_p)
+    for k in range(1, n_p // 2 + 1):
+        assert v1_potential(spec, k).tobytes() == v1_potential(spec, -k).tobytes()
+    calls = count_eigensolves(monkeypatch)
+    bases = build_bases(spec)
+    assert len(calls) == n_p // 2 + 1
+    for k, basis in bases.channels.items():
+        assert basis.backend_tag == f"v1[k={k}]"
+        assert basis.eigenvalues is bases.channels[-k].eigenvalues
+        own = solve_v1_eigenproblem(spec, k)
+        assert np.array_equal(basis.eigenvalues, own.eigenvalues)
+        assert np.array_equal(basis.eigenfunctions, own.eigenfunctions)
+
+
+def test_zero_drive_v1_reuses_base_eigenbasis(monkeypatch):
+    zero = {"kind": "constant", "value": 0.0}
+    cfg = temporal_config([{"index": k, "amplitude": zero} for k in (-2, -1, 1, 2)],
+                          basis="v1", base={"kind": "cosine", "amplitude": 0.6})
+    spec = build_spec(cfg)
+    calls = count_eigensolves(monkeypatch)
+    bases = build_bases(spec)
+    assert len(calls) == 1
+    assert sorted(b.backend_tag for b in bases.channels.values()) == \
+        ["v1[k=-1]", "v1[k=-2]", "v1[k=1]", "v1[k=2]"]
+    assert all(b.eigenfunctions is bases.base.eigenfunctions
+               for b in bases.channels.values())

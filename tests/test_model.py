@@ -132,6 +132,16 @@ def test_declared_real_needs_conjugate_pairs():
     cfg["perturbation"]["real"] = True
     with pytest.raises(ConfigError, match="pair"):
         build_spec(cfg)
+    # the pairing is exact: one ulp off fails, and so does a NaN amplitude
+    for plus, minus in ((0.3, float(np.nextafter(0.3, 1.0))),
+                        (float("nan"), float("nan"))):
+        cfg = temporal_config([
+            {"index": 1, "amplitude": {"kind": "constant", "value": plus}},
+            {"index": -1, "amplitude": {"kind": "constant", "value": minus}},
+        ])
+        cfg["perturbation"]["real"] = True
+        with pytest.raises(ConfigError, match="harmonic 1 is not the conjugate of harmonic -1"):
+            build_spec(cfg)
 
 
 def test_declared_real_accepts_matched_pairs():

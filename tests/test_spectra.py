@@ -211,14 +211,6 @@ def test_spectrum_state_order_and_eps0(weak_temporal_spec, weak_temporal_bases):
         assert len(st_.roots) == 9
 
 
-def test_solve_spectrum_jobs_bitwise_equal(weak_temporal_spec):
-    r1 = solve_spectrum(weak_temporal_spec, jobs=1)
-    r4 = solve_spectrum(weak_temporal_spec, jobs=4)
-    for a, b in zip(r1.states, r4.states):
-        assert np.array_equal(a.roots, b.roots)
-        assert np.array_equal(a.rootset.residuals, b.rootset.residuals)
-
-
 # ------------------------------------------------------------------- grouping
 
 def test_split_at_largest_gaps_pairs():
