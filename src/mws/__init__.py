@@ -38,12 +38,13 @@ from mws.eigenbasis import (
 )
 from mws.effpot import (
     ChannelBases,
+    ChannelTerms,
     PoleWeightTable,
     apply_effective_potential,
     build_bases,
     build_pole_weight_table,
     build_pole_weight_tables,
-    ep_kernel_eval,
+    channel_terms,
     ep_kernel_matrix,
     exact_pole_pair,
     pole_position,
@@ -68,7 +69,6 @@ from mws.reconstruct import (
     WaveField,
     assemble_wavefunction,
     component_functions,
-    pdd,
 )
 from mws.oracle import (
     OracleReport,
@@ -87,16 +87,15 @@ __all__ = [
     "build_spec", "channel_energies", "scale_amplitudes", "to_document",
     "EigenBasis", "green_function", "matrix_element",
     "solve_base_eigenproblem", "solve_v1_eigenproblem",
-    "ChannelBases", "PoleWeightTable", "apply_effective_potential",
+    "ChannelBases", "ChannelTerms", "PoleWeightTable", "apply_effective_potential",
     "build_bases", "build_pole_weight_table", "build_pole_weight_tables",
-    "ep_kernel_eval",
-    "ep_kernel_matrix", "exact_pole_pair", "pole_position",
+    "channel_terms", "ep_kernel_matrix", "exact_pole_pair", "pole_position",
     "series_ep_kernel", "vnn_eval",
     "CountReport", "RealisationEnsemble", "SpectrumResult",
     "appendix_auxiliary_roots", "appendix_k_shift", "count_solutions",
     "find_roots", "find_roots_exact", "group_realisations",
     "modified_equation_residual", "realisation_separation", "solve_spectrum",
-    "WaveField", "assemble_wavefunction", "component_functions", "pdd",
+    "WaveField", "assemble_wavefunction", "component_functions",
     "OracleReport", "coupled_matrix_diagonalization", "polynomial_roots_oracle",
     "refined_grid_eigen_oracle", "run_all_oracles", "subset_recovery_distance",
 ]

@@ -70,9 +70,9 @@ def _load_config(path: str) -> tuple[dict, str]:
 def _apply_overrides(doc: dict, args) -> dict:
     modes = dict(doc.get("modes", {}))
     if args.mode is not None:
-        modes["denominator"] = {"approx": "approx", "exact": "exact"}[args.mode]
+        modes["denominator"] = args.mode
     if args.backend is not None:
-        modes["basis"] = {"unperturbed": "unperturbed", "v1": "v1"}[args.backend]
+        modes["basis"] = args.backend
     out = dict(doc)
     out["modes"] = modes
     return out
@@ -162,12 +162,11 @@ def _spectrum_outputs(spec: SystemSpec, out_dir: Path):
             for r in ensemble.realisations
         ],
     })
-    return result, ["roots.csv", "poles.csv", "counts.json", "realisations.json"]
+    return result, ensemble, ["roots.csv", "poles.csv", "counts.json", "realisations.json"]
 
 
 def cmd_spectrum(spec: SystemSpec, out_dir: Path, args) -> list[str]:
-    _, outputs = _spectrum_outputs(spec, out_dir)
-    return outputs
+    return _spectrum_outputs(spec, out_dir)[2]
 
 
 def cmd_kernel(spec: SystemSpec, out_dir: Path, args) -> list[str]:
@@ -188,11 +187,7 @@ def cmd_kernel(spec: SystemSpec, out_dir: Path, args) -> list[str]:
 
 
 def cmd_reconstruct(spec: SystemSpec, out_dir: Path, args) -> list[str]:
-    result, _ = _spectrum_outputs(spec, out_dir)
-    try:
-        ensemble = group_realisations(result)
-    except SolverError:
-        ensemble = group_realisations(result, 1)
+    result, ensemble, outputs = _spectrum_outputs(spec, out_dir)
     wanted = args.realisation
     match = [r for r in ensemble.realisations if r.index == wanted]
     if not match:
@@ -202,9 +197,8 @@ def cmd_reconstruct(spec: SystemSpec, out_dir: Path, args) -> list[str]:
     roots_by_n: dict[int, float] = {}
     for m in match[0].members:
         roots_by_n.setdefault(m.n, m.value)  # lowest root per base state
-    bases = build_bases(spec)
     n_second = args.samples if args.samples else 65
-    field = assemble_wavefunction(spec, bases, roots_by_n, n_second=n_second,
+    field = assemble_wavefunction(spec, result.bases, roots_by_n, n_second=n_second,
                                   allow_evanescent=args.allow_evanescent)
 
     rows = []
@@ -214,15 +208,7 @@ def cmd_reconstruct(spec: SystemSpec, out_dir: Path, args) -> list[str]:
                          field.rho[i, j]])
     axis = "r_p" if field.axis_kind == "r_p" else "t"
     _write_csv(out_dir / "field.csv", ["x", axis, "re_psi", "im_psi", "rho"], rows)
-
-    blocks = []
-    for i, x in enumerate(field.x):
-        for j, y in enumerate(field.second_axis):
-            blocks.append(f"{_fmt(x)} {_fmt(y)} {_fmt(field.rho[i, j])}")
-        blocks.append("")
-    (out_dir / "heatmap.dat").write_text("\n".join(blocks) + "\n")
-    return ["roots.csv", "poles.csv", "counts.json", "realisations.json",
-            "field.csv", "heatmap.dat"]
+    return outputs + ["field.csv"]
 
 
 def cmd_verify(spec: SystemSpec, out_dir: Path, args) -> list[str]:

@@ -1,14 +1,17 @@
-"""Effective-potential machinery: pole/weight tables, nonlocal kernel, action.
+"""Effective-potential machinery: channel terms, pole/weight tables, kernel, action.
 
 The channel-elimination step turns the coupled problem into an
 energy-dependent diagonal function V_nn(eps) (a sum of simple poles in the
-approximate regime) plus a nonlocal integral kernel; both live here.
+approximate regime) plus a nonlocal integral kernel; both live here. Every
+quantity is a sum over the retained (channel, n') terms of `ChannelTerms`,
+each divided by the term's denominator.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Mapping
 
 import numpy as np
@@ -149,6 +152,99 @@ def exact_pole_general(eps0_aux: float, eps_p: float, total_energy: float,
         + 2.0 * cos_alpha * math.sqrt(arg)
 
 
+@dataclass(frozen=True, eq=False)
+class ChannelTerms:
+    """The T retained (channel, n') terms of one (spec, bases), in (channel, n') order.
+
+    Pole tables, kernel, operator and channel components are all sums over
+    these terms, each divided by `denominators`; nothing else builds a term.
+    """
+
+    spec: SystemSpec
+    bases: ChannelBases
+    channel: np.ndarray     # harmonic index g, shape (T,)
+    n_prime: np.ndarray     # 1-based channel-basis level
+    eps0_aux: np.ndarray    # its eigenvalue eps0'
+    eps_p: np.ndarray
+    cos_alpha: np.ndarray
+    poles: np.ndarray       # pole_position under the spec mode; NaN where it raised
+    errors: Mapping[int, SolverError]  # term -> its pole's error, raised by users of it
+    couplings: np.ndarray   # <psi_t|v_g|psi0_n>, shape (T, base.n_states)
+
+    @cached_property
+    def psi(self) -> np.ndarray:
+        """Channel eigenfunctions psi_t, shape (T, n_x)."""
+        return self._stack(self.bases.channels[g].eigenfunctions[k - 1]
+                           for g, k in zip(self.channel.tolist(), self.n_prime.tolist()))
+
+    @cached_property
+    def left(self) -> np.ndarray:
+        """v_{-g} psi_t, shape (T, n_x); zero where -g is not retained."""
+        return self._stack(_negated_amplitude(self.spec, g) for g in self.channel.tolist()) \
+            * self.psi
+
+    @cached_property
+    def right(self) -> np.ndarray:
+        """v_g conj(psi_t), shape (T, n_x)."""
+        return self._stack(self.spec.harmonic(g).amplitude for g in self.channel.tolist()) \
+            * np.conjugate(self.psi)
+
+    def _stack(self, rows) -> np.ndarray:
+        return np.array(list(rows)).reshape(len(self.poles), self.spec.grid_points)
+
+    def denominators(self, epsilon: float) -> np.ndarray:
+        """Every term's denominator at epsilon, shape (T,): the square-root form
+        in exact spatial mode (needs epsilon <= E, no pole), else epsilon - pole."""
+        if not len(self.poles):
+            return np.zeros(0)
+        e = self.spec.total_energy
+        if self.spec.is_spatial and self.spec.denominator_mode == "exact":
+            if epsilon > e:
+                raise SolverError(f"exact mode requires epsilon <= E, got {epsilon!r}")
+            d = _exact_denominator(self, epsilon, e - epsilon)
+        else:
+            for exc in self.errors.values():
+                raise exc
+            d = epsilon - self.poles
+        tol = max(1e-9 * float(np.ptp(epsilon - d)), 1e-9)
+        near = np.flatnonzero(np.abs(d) <= tol)
+        if len(near):
+            raise PoleProximityError(
+                f"epsilon {epsilon!r} is within {tol!r} of the (channel "
+                f"{self.channel[near[0]]}, n'={self.n_prime[near[0]]}) singularity"
+            )
+        return d
+
+
+def channel_terms(spec: SystemSpec, bases: ChannelBases) -> ChannelTerms:
+    """The channel-term table: rows, poles, and one coupling block per channel."""
+    chans = channel_energies(spec)
+    rows = [(ch, k, float(bases.channels[ch.index].eigenvalues[k - 1]))
+            for ch in chans for k in range(1, spec.n_prime + 1)]
+    poles = np.full(len(rows), np.nan)
+    errors = {}
+    for i, (ch, _, eps0_aux) in enumerate(rows):
+        try:
+            poles[i] = pole_position(spec, ch, eps0_aux)
+        except SolverError as exc:
+            errors[i] = exc
+    blocks = [matrix_element_block(bases.channels[ch.index], bases.base,
+                                   spec.harmonic(ch.index).amplitude,
+                                   spec.n_prime, bases.base.n_states) for ch in chans]
+    return ChannelTerms(
+        spec=spec,
+        bases=bases,
+        channel=np.array([ch.index for ch, _, _ in rows], dtype=int),
+        n_prime=np.array([k for _, k, _ in rows], dtype=int),
+        eps0_aux=np.array([r[2] for r in rows]),
+        eps_p=np.array([ch.epsilon_p for ch, _, _ in rows]),
+        cos_alpha=np.array([ch.cos_alpha for ch, _, _ in rows]),
+        poles=poles,
+        errors=errors,
+        couplings=np.concatenate(blocks + [np.zeros((0, bases.base.n_states), complex)]),
+    )
+
+
 def build_pole_weight_tables(spec: SystemSpec, bases: ChannelBases) -> list[PoleWeightTable]:
     """The (pole, weight) tables of base states 1..N_s under the spec mode."""
     return _build_tables(spec, bases, range(1, spec.n_base + 1))
@@ -163,37 +259,20 @@ def build_pole_weight_table(spec: SystemSpec, bases: ChannelBases, n: int) -> Po
 
 def _build_tables(spec: SystemSpec, bases: ChannelBases, ns) -> list[PoleWeightTable]:
     """Tables of the base states ns; each one's weights, poles and errors
-    are those of its own members, in (channel, n') order.
-
-    Weights come from one matrix-element block per channel; pole positions
-    and the (pole, channel, n') order are computed once for all states.
+    are those of its own terms. The (pole, channel, n') order is computed
+    once for all states.
     """
-    mode = spec.denominator_mode
-    n_top = max(ns)
-    members = []   # (channel, n', eps0_aux, eps_p, cos_alpha), (channel, n') order
-    blocks = []
-    poles: dict[int, float] = {}
-    failed: dict[int, SolverError] = {}
-    for channel in channel_energies(spec):
-        basis = bases.channels[channel.index]
-        blocks.append(matrix_element_block(basis, bases.base,
-                                           spec.harmonic(channel.index).amplitude,
-                                           spec.n_prime, n_top))
-        for n_prime in range(1, spec.n_prime + 1):
-            eps0_aux = float(basis.eigenvalues[n_prime - 1])
-            try:
-                poles[len(members)] = pole_position(spec, channel, eps0_aux, mode)
-            except SolverError as exc:  # raised below for a state with this member
-                failed[len(members)] = exc
-            members.append((channel.index, n_prime, eps0_aux,
-                            channel.epsilon_p, channel.cos_alpha))
-    order = sorted(poles, key=lambda i: (poles[i], members[i][0], members[i][1]))
-    elems = np.concatenate(blocks) if blocks else np.zeros((0, n_top), dtype=complex)
+    terms = channel_terms(spec, bases)
+    poles = terms.poles.tolist()
+    rows = list(zip(terms.channel.tolist(), terms.n_prime.tolist(), terms.eps0_aux.tolist(),
+                    terms.eps_p.tolist(), terms.cos_alpha.tolist()))
+    order = sorted((i for i in range(len(rows)) if i not in terms.errors),
+                   key=lambda i: (poles[i], rows[i][:2]))
 
     tables = []
     for n in ns:
-        weights = [abs(z) ** 2 for z in elems[:, n - 1].tolist()]
-        for i, exc in failed.items():
+        weights = [abs(z) ** 2 for z in terms.couplings[:, n - 1].tolist()]
+        for i, exc in terms.errors.items():
             if weights[i] != 0.0:
                 raise exc
         kept = [i for i in order if weights[i] != 0.0]
@@ -203,7 +282,7 @@ def _build_tables(spec: SystemSpec, bases: ChannelBases, ns) -> list[PoleWeightT
         entries: list[PoleEntry] = []
         for i in kept:
             p = poles[i]
-            channel, n_prime, eps0_aux, eps_p, cos_alpha = members[i]
+            channel, n_prime, eps0_aux, eps_p, cos_alpha = rows[i]
             member = PoleMember(channel, n_prime, weights[i], eps0_aux, eps_p, cos_alpha)
             if entries and p - entries[-1].pole <= merge_tol:
                 prev = entries[-1]
@@ -215,7 +294,7 @@ def _build_tables(spec: SystemSpec, bases: ChannelBases, ns) -> list[PoleWeightT
             base_state=n,
             entries=tuple(entries),
             merge_tol=merge_tol,
-            mode=mode,
+            mode=spec.denominator_mode,
             total_energy=spec.total_energy,
             spatial=spec.is_spatial,
         ))
@@ -254,8 +333,9 @@ def _members(table: PoleWeightTable):
         yield from entry.members
 
 
-def _exact_denominator(m: PoleMember, eps, room):
-    """eps - eps0' - eps_p - 2 cos(alpha) sqrt((E - eps) eps_p), room = E - eps."""
+def _exact_denominator(m: PoleMember | ChannelTerms, eps, room):
+    """eps - eps0' - eps_p - 2 cos(alpha) sqrt((E - eps) eps_p), room = E - eps;
+    one member's or, as an array, every channel term's."""
     return eps - m.eps0_aux - m.eps_p - 2.0 * m.cos_alpha * np.sqrt(room * m.eps_p)
 
 
@@ -290,38 +370,6 @@ def _exact_vnn(table: PoleWeightTable, eps: np.ndarray) -> np.ndarray:
     return out
 
 
-def _denominators(spec: SystemSpec, bases: ChannelBases, epsilon_s: float):
-    """(channel, n', bra basis, denominator) per retained term, fixed order."""
-    out = []
-    e = spec.total_energy
-    exact_spatial = spec.is_spatial and spec.denominator_mode == "exact"
-    for channel in channel_energies(spec):
-        basis = bases.channels[channel.index]
-        for n_prime in range(1, spec.n_prime + 1):
-            eps0_aux = float(basis.eigenvalues[n_prime - 1])
-            if exact_spatial:
-                if epsilon_s > e:
-                    raise SolverError(
-                        f"exact mode requires epsilon <= E, got {epsilon_s!r}"
-                    )
-                d = epsilon_s - eps0_aux - channel.epsilon_p \
-                    - 2.0 * channel.cos_alpha * math.sqrt((e - epsilon_s) * channel.epsilon_p)
-            else:
-                d = epsilon_s - pole_position(spec, channel, eps0_aux)
-            out.append((channel, n_prime, basis, d))
-    poles_for_tol = [epsilon_s - d for (_, _, _, d) in out]
-    if poles_for_tol:
-        spread = max(poles_for_tol) - min(poles_for_tol)
-        tol = max(1e-9 * spread, 1e-9)
-        for (channel, n_prime, _, d) in out:
-            if abs(d) <= tol:
-                raise PoleProximityError(
-                    f"epsilon {epsilon_s!r} is within {tol!r} of the "
-                    f"(channel {channel.index}, n'={n_prime}) singularity"
-                )
-    return out
-
-
 def _negated_amplitude(spec: SystemSpec, index: int) -> np.ndarray:
     """Amplitude of harmonic -index, or zeros when it is not retained."""
     for h in spec.harmonics:
@@ -330,32 +378,12 @@ def _negated_amplitude(spec: SystemSpec, index: int) -> np.ndarray:
     return np.zeros(spec.grid_points, dtype=complex)
 
 
-def ep_kernel_eval(spec: SystemSpec, bases: ChannelBases, epsilon_s: float,
-                   x_index: int, xp_index: int) -> complex:
-    """Nonlocal kernel K(x, x') at two grid indices."""
-    total = 0.0 + 0.0j
-    for channel, n_prime, basis, d in _denominators(spec, bases, epsilon_s):
-        v_minus = _negated_amplitude(spec, channel.index)
-        v_plus = spec.harmonic(channel.index).amplitude
-        psi = basis.eigenfunctions[n_prime - 1]
-        total += v_minus[x_index] * v_plus[xp_index] \
-            * psi[x_index] * np.conjugate(psi[xp_index]) / d
-    return complex(total)
-
-
 def ep_kernel_matrix(spec: SystemSpec, bases: ChannelBases,
                      epsilon_s: float) -> np.ndarray:
-    """Full kernel matrix K(x_i, x_j); term accumulation in fixed order."""
-    n_x = spec.grid_points
-    k = np.zeros((n_x, n_x), dtype=complex)
-    for channel, n_prime, basis, d in _denominators(spec, bases, epsilon_s):
-        v_minus = _negated_amplitude(spec, channel.index)
-        v_plus = spec.harmonic(channel.index).amplitude
-        psi = basis.eigenfunctions[n_prime - 1]
-        left = v_minus * psi
-        right = v_plus * np.conjugate(psi)
-        k += np.outer(left, right) / d
-    return k
+    """Full kernel matrix K(x_i, x_j) = sum_t v_-g psi_t(x_i) v_g conj(psi_t)(x_j) / d_t."""
+    terms = channel_terms(spec, bases)
+    d = terms.denominators(epsilon_s)
+    return (terms.left / d[:, None]).T @ terms.right
 
 
 def apply_effective_potential(spec: SystemSpec, bases: ChannelBases,
@@ -364,16 +392,11 @@ def apply_effective_potential(spec: SystemSpec, bases: ChannelBases,
     phi = np.asarray(phi, dtype=complex)
     if phi.shape != (spec.grid_points,):
         raise ValueError(f"phi must have shape ({spec.grid_points},)")
-    out = spec.base_potential * phi
-    w = bases.base.quad_weights
-    for channel, n_prime, basis, d in _denominators(spec, bases, epsilon_s):
-        v_minus = _negated_amplitude(spec, channel.index)
-        v_plus = spec.harmonic(channel.index).amplitude
-        psi = basis.eigenfunctions[n_prime - 1]
-        # factored outer product: coefficient first, then the column
-        coeff = np.sum(w * v_plus * np.conjugate(psi) * phi) / d
-        out = out + (v_minus * psi) * coeff
-    return out
+    terms = channel_terms(spec, bases)
+    d = terms.denominators(epsilon_s)
+    # factored outer product: one coefficient per term, then the columns
+    coeff = np.sum(terms.right * (bases.base.quad_weights * phi), axis=1) / d
+    return spec.base_potential * phi + coeff @ terms.left
 
 
 def series_ep_kernel(spec: SystemSpec, base0: EigenBasis, k: int, eps0_k: float,

@@ -11,8 +11,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from mws.effpot import ChannelBases, _denominators
-from mws.eigenbasis import matrix_element
+from mws.effpot import ChannelBases, channel_terms
 from mws.errors import SolverError
 from mws.model import HBAR, MASS, SystemSpec, channel_energies
 
@@ -40,15 +39,10 @@ def component_functions(spec: SystemSpec, bases: ChannelBases, root: float,
     """Channel components psi_{g n}(x) at the eigenvalue `root` (one per harmonic)."""
     if not (1 <= n <= bases.base.n_states):
         raise IndexError(f"base state {n} out of range 1..{bases.base.n_states}")
-    out: dict[int, np.ndarray] = {
-        h.index: np.zeros(spec.grid_points, dtype=complex) for h in spec.harmonics
-    }
-    for channel, n_prime, basis, d in _denominators(spec, bases, root):
-        elem = matrix_element(basis, bases.base, spec.harmonic(channel.index).amplitude,
-                              n_prime, n)
-        out[channel.index] += basis.eigenfunctions[n_prime - 1].astype(complex) \
-            * (elem / d)
-    return out
+    terms = channel_terms(spec, bases)
+    coeff = terms.couplings[:, n - 1] / terms.denominators(root)
+    return {h.index: coeff[terms.channel == h.index] @ terms.psi[terms.channel == h.index]
+            for h in spec.harmonics}
 
 
 def bloch_wavenumber(total_energy: float, root: float) -> complex:
@@ -142,8 +136,3 @@ def assemble_wavefunction(spec: SystemSpec, bases: ChannelBases,
         roots_by_n={int(n): float(roots_by_n[n]) for n in ns},
         evanescent=tuple(evanescent),
     )
-
-
-def pdd(field: WaveField) -> np.ndarray:
-    """Probability density |psi|^2 pointwise."""
-    return np.abs(field.psi) ** 2

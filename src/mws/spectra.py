@@ -66,6 +66,7 @@ class SpectrumResult:
     observed_total: int
     degeneracy_deficit: int
     mode: str
+    bases: ChannelBases | None = None   # the bases the tables were built on
 
     def all_roots(self) -> list[tuple[int, int, float]]:
         """(n, j, root) triples in fixed order."""
@@ -293,7 +294,8 @@ def solve_spectrum(spec: SystemSpec) -> SpectrumResult:
             stacklevel=2,
         )
     return SpectrumResult(states=states, counts=counts, observed_total=observed,
-                          degeneracy_deficit=deficit, mode=spec.denominator_mode)
+                          degeneracy_deficit=deficit, mode=spec.denominator_mode,
+                          bases=bases)
 
 
 def split_at_largest_gaps(values: np.ndarray, n_groups: int) -> list[np.ndarray]:

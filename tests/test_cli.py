@@ -143,9 +143,25 @@ def test_reconstruct_outputs(tmp_path):
     header, rows = read_rows(out / "field.csv")
     assert header == ["x", "t", "re_psi", "im_psi", "rho"]
     assert len(rows) == 128 * 9
-    assert (out / "heatmap.dat").exists()
     rho = np.array([float(r[4]) for r in rows])
     assert np.all(rho >= 0.0)
+
+
+def test_reconstruct_reuses_the_spectrum_bases(tmp_path, monkeypatch):
+    cfg_path = write_config(tmp_path, temporal_config(
+        weak_harmonics(), n_base=2, points=128, basis="v1"))
+    assert run(["reconstruct", "--config", cfg_path, "--out", str(tmp_path / "a")]) == 0
+
+    def no_second_solve(spec):
+        raise AssertionError("reconstruct built the bases a second time")
+
+    monkeypatch.setattr("mws.cli.build_bases", no_second_solve)
+    assert run(["reconstruct", "--config", cfg_path, "--out", str(tmp_path / "b")]) == 0
+    assert (tmp_path / "b" / "field.csv").read_bytes() \
+        == (tmp_path / "a" / "field.csv").read_bytes()
+    manifest = json.loads((tmp_path / "b" / "manifest.json").read_text())
+    assert manifest["outputs"] == ["roots.csv", "poles.csv", "counts.json",
+                                   "realisations.json", "field.csv"]
 
 
 def test_reconstruct_unknown_realisation(tmp_path):

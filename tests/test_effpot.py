@@ -1,6 +1,9 @@
 """Pole positions, weight tables, kernel evaluation, and operator action."""
 
+import json
+import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +17,7 @@ from mws.effpot import (
     build_bases,
     build_pole_weight_table,
     build_pole_weight_tables,
-    ep_kernel_eval,
+    channel_terms,
     ep_kernel_matrix,
     exact_pole_general,
     exact_pole_pair,
@@ -25,7 +28,11 @@ from mws.effpot import (
 from mws.eigenbasis import matrix_element
 from mws.errors import PoleProximityError, SolverError
 from mws.model import build_spec, channel_energies
+from mws.reconstruct import component_functions
 from mws.spectra import find_roots
+
+DOC_NPRIME6 = Path(__file__).resolve().parents[1] / "perfbench" / "configs" \
+    / "doc_spatial_nprime6.json"
 
 
 def pair(height=0.3):
@@ -166,17 +173,18 @@ def assert_tables_match_reference(spec, bases=None):
     return tables
 
 
-@pytest.mark.parametrize("n_base", (1, 2, 4))
-@pytest.mark.parametrize("n_prime", (1, 2, 4))
-@pytest.mark.parametrize("kind,denominator,basis", [
+# (kind, denominator, basis): every mode pair; the v1 basis is temporal only
+CASES = [
     ("temporal", "approx", "unperturbed"),
     ("temporal", "approx", "v1"),
     ("temporal", "exact", "unperturbed"),
     ("temporal", "exact", "v1"),
     ("spatial", "approx", "unperturbed"),
     ("spatial", "exact", "unperturbed"),
-])
-def test_tables_equal_per_state_reference(kind, denominator, basis, n_prime, n_base):
+]
+
+
+def case_spec(kind, denominator, basis, n_prime, n_base):
     harmonics = fig_anchor_harmonics()
     if basis == "unperturbed":
         # complex couplings: abs() of a complex element rounds differently in numpy
@@ -189,7 +197,15 @@ def test_tables_equal_per_state_reference(kind, denominator, basis, n_prime, n_b
     else:
         cfg = temporal_config(harmonics, n_base=n_base, n_prime=n_prime, basis=basis)
         cfg["modes"]["denominator"] = denominator
-    tables = assert_tables_match_reference(build_spec(cfg))
+    return build_spec(cfg)
+
+
+@pytest.mark.parametrize("n_base", (1, 2, 4))
+@pytest.mark.parametrize("n_prime", (1, 2, 4))
+@pytest.mark.parametrize("kind,denominator,basis", CASES)
+def test_tables_equal_per_state_reference(kind, denominator, basis, n_prime, n_base):
+    tables = assert_tables_match_reference(case_spec(kind, denominator, basis,
+                                                     n_prime, n_base))
     assert all(len(t.entries) == 4 * n_prime for t in tables)
 
 
@@ -334,7 +350,7 @@ def test_kernel_matrix_matches_pointwise_eval(weak_temporal_spec, weak_temporal_
     k = ep_kernel_matrix(weak_temporal_spec, weak_temporal_bases, eps)
     for i, j in ((10, 20), (45, 130), (103, 77)):
         assert k[i, j] == pytest.approx(
-            ep_kernel_eval(weak_temporal_spec, weak_temporal_bases, eps, i, j),
+            reference_kernel_entry(weak_temporal_spec, weak_temporal_bases, eps, i, j),
             rel=1e-12, abs=1e-15)
 
 
@@ -360,8 +376,8 @@ def test_kernel_single_term_hand_formula():
         v[i] * v[j] * psi[i] * psi[j] / (eps - (eps1 + omega))
         + v[i] * v[j] * psi[i] * psi[j] / (eps - (eps1 - omega))
     )
-    assert ep_kernel_eval(spec, bases, eps, i, j) == pytest.approx(complex(want),
-                                                                   rel=1e-13)
+    assert ep_kernel_matrix(spec, bases, eps)[i, j] == pytest.approx(complex(want),
+                                                                     rel=1e-13)
 
 
 def test_apply_reduces_to_v0_when_unperturbed():
@@ -462,3 +478,171 @@ def test_roots_reproduce_vnn_crossings(weak_temporal_spec, weak_temporal_bases):
     rs = find_roots(table, eps0)
     for r in rs.roots:
         assert vnn_eval(table, float(r)) == pytest.approx(r - eps0, abs=2e-9)
+
+
+# -- the channel-term table against the per-term loops it replaced -----------
+
+def negated_amplitude(spec, index):
+    for h in spec.harmonics:
+        if h.index == -index:
+            return h.amplitude
+    return np.zeros(spec.grid_points, dtype=complex)
+
+
+def reference_denominators(spec, bases, epsilon_s):
+    """(channel, n', bra basis, denominator) per retained term, fixed order."""
+    out = []
+    e = spec.total_energy
+    exact_spatial = spec.is_spatial and spec.denominator_mode == "exact"
+    for channel in channel_energies(spec):
+        basis = bases.channels[channel.index]
+        for n_prime in range(1, spec.n_prime + 1):
+            eps0_aux = float(basis.eigenvalues[n_prime - 1])
+            if exact_spatial:
+                if epsilon_s > e:
+                    raise SolverError(
+                        f"exact mode requires epsilon <= E, got {epsilon_s!r}"
+                    )
+                d = epsilon_s - eps0_aux - channel.epsilon_p \
+                    - 2.0 * channel.cos_alpha * math.sqrt((e - epsilon_s) * channel.epsilon_p)
+            else:
+                d = epsilon_s - pole_position(spec, channel, eps0_aux)
+            out.append((channel, n_prime, basis, d))
+    poles_for_tol = [epsilon_s - d for (_, _, _, d) in out]
+    if poles_for_tol:
+        spread = max(poles_for_tol) - min(poles_for_tol)
+        tol = max(1e-9 * spread, 1e-9)
+        for (channel, n_prime, _, d) in out:
+            if abs(d) <= tol:
+                raise PoleProximityError(
+                    f"epsilon {epsilon_s!r} is within {tol!r} of the "
+                    f"(channel {channel.index}, n'={n_prime}) singularity"
+                )
+    return out
+
+
+def reference_kernel_entry(spec, bases, epsilon_s, x_index, xp_index):
+    total = 0.0 + 0.0j
+    for channel, n_prime, basis, d in reference_denominators(spec, bases, epsilon_s):
+        v_minus = negated_amplitude(spec, channel.index)
+        v_plus = spec.harmonic(channel.index).amplitude
+        psi = basis.eigenfunctions[n_prime - 1]
+        total += v_minus[x_index] * v_plus[xp_index] \
+            * psi[x_index] * np.conjugate(psi[xp_index]) / d
+    return complex(total)
+
+
+def reference_kernel(spec, bases, epsilon_s):
+    k = np.zeros((spec.grid_points, spec.grid_points), dtype=complex)
+    for channel, n_prime, basis, d in reference_denominators(spec, bases, epsilon_s):
+        psi = basis.eigenfunctions[n_prime - 1]
+        left = negated_amplitude(spec, channel.index) * psi
+        right = spec.harmonic(channel.index).amplitude * np.conjugate(psi)
+        k += np.outer(left, right) / d
+    return k
+
+
+def reference_apply(spec, bases, epsilon_s, phi):
+    out = spec.base_potential * phi
+    w = bases.base.quad_weights
+    for channel, n_prime, basis, d in reference_denominators(spec, bases, epsilon_s):
+        v_minus = negated_amplitude(spec, channel.index)
+        v_plus = spec.harmonic(channel.index).amplitude
+        psi = basis.eigenfunctions[n_prime - 1]
+        coeff = np.sum(w * v_plus * np.conjugate(psi) * phi) / d
+        out = out + (v_minus * psi) * coeff
+    return out
+
+
+def outcome(call):
+    """The call's value, or the type and message of the error it raised."""
+    try:
+        return call()
+    except SolverError as exc:
+        return type(exc), str(exc)
+
+
+def assert_close(got, want, rel=1e-13):
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want), initial=0.0) \
+        <= rel * np.max(np.abs(want), initial=0.0)
+
+
+EPSILONS = (-30.0, -3.7, 0.77, 11.3)
+
+
+@pytest.mark.parametrize("n_prime", (1, 2, 4))
+@pytest.mark.parametrize("kind,denominator,basis", CASES)
+def test_channel_terms_match_per_term_loops(kind, denominator, basis, n_prime):
+    spec = case_spec(kind, denominator, basis, n_prime, 2)
+    bases = build_bases(spec)
+    terms = channel_terms(spec, bases)
+    ref = reference_denominators(spec, bases, EPSILONS[0])
+    assert terms.channel.tolist() == [ch.index for ch, _, _, _ in ref]
+    assert terms.n_prime.tolist() == [k for _, k, _, _ in ref]
+    assert terms.couplings.shape == (len(ref), bases.base.n_states)
+    phi = np.sin(spec.grid) + 0.3j * np.cos(2.0 * spec.grid)
+    for eps in EPSILONS:
+        d = terms.denominators(eps)
+        want = np.array([d for *_, d in reference_denominators(spec, bases, eps)])
+        assert d.tobytes() == want.tobytes()
+        assert_close(ep_kernel_matrix(spec, bases, eps), reference_kernel(spec, bases, eps))
+        assert_close(apply_effective_potential(spec, bases, eps, phi),
+                     reference_apply(spec, bases, eps, phi))
+
+
+@pytest.mark.parametrize("kind", ("temporal", "spatial"))
+def test_kernel_and_operator_unpaired_drive(kind):
+    # v_-g is not conj(v_g) here, so K(x, x') != K(x', x) and the order of the
+    # left (v_-g psi) and right (v_g conj psi) factors shows
+    for harmonics in ([{"index": 1, "amplitude": gaussian([0.5, 0.2], 0.43, 0.2)},
+                       {"index": -1, "amplitude": gaussian(0.3, 0.6, 0.15)}],
+                      [{"index": 1, "amplitude": gaussian(0.5, 0.43, 0.2)}]):
+        build = spatial_config if kind == "spatial" else temporal_config
+        spec = build_spec(build(harmonics, n_base=2, n_prime=3))
+        bases = build_bases(spec)
+        phi = np.sin(spec.grid) + 0.3j * np.cos(2.0 * spec.grid)
+        for eps in EPSILONS:
+            assert_close(ep_kernel_matrix(spec, bases, eps), reference_kernel(spec, bases, eps))
+            assert_close(apply_effective_potential(spec, bases, eps, phi),
+                         reference_apply(spec, bases, eps, phi))
+
+
+@pytest.mark.filterwarnings("ignore:total energy does not dominate")
+def test_channel_terms_errors_match_per_term_loop(anchor_spatial_spec,
+                                                  anchor_spatial_bases):
+    cases = [(anchor_spatial_spec, anchor_spatial_bases)]
+    # exact mode above E; approx spatial with E < 0 has no approximate pole
+    for energy, denominator in ((12.0, "exact"), (-2.0, "approx")):
+        spec = build_spec(spatial_config(fig_anchor_harmonics(), energy=energy,
+                                         denominator=denominator))
+        cases.append((spec, build_bases(spec)))
+    probes = [float(channel_terms(*cases[0]).poles[3]), 12.5, 0.77]
+    for (spec, bases), eps in zip(cases, probes):
+        got = outcome(lambda: channel_terms(spec, bases).denominators(eps))
+        want = outcome(lambda: reference_denominators(spec, bases, eps))
+        assert isinstance(got, tuple) and got == want
+    assert got[0] is SolverError and "approximate pole needs" in got[1]
+    for fn in (ep_kernel_matrix, lambda *a: component_functions(*a, 1)):
+        with pytest.raises(SolverError, match="approximate pole needs"):
+            fn(spec, bases, 0.77)
+
+
+def test_exact_mode_level_above_energy_is_legal_off_the_table():
+    # the n'=6 doc config: level 12.49 > E = 12 has no exact pole, but its
+    # denominator is defined for every epsilon <= E
+    doc = json.loads(DOC_NPRIME6.read_text())
+    doc["modes"]["denominator"] = "exact"
+    spec = build_spec(doc)
+    bases = build_bases(spec)
+    assert channel_terms(spec, bases).errors
+    phi = bases.base.eigenfunctions[0].astype(complex)
+    for eps in (-30.0, 5.0):
+        assert_close(ep_kernel_matrix(spec, bases, eps), reference_kernel(spec, bases, eps))
+        assert_close(apply_effective_potential(spec, bases, eps, phi),
+                     reference_apply(spec, bases, eps, phi))
+        comps = component_functions(spec, bases, eps, 1)
+        assert set(comps) == {-2, -1, 1, 2}
+        assert all(np.all(np.isfinite(c)) for c in comps.values())
+    with pytest.raises(SolverError, match="exact pole needs E >= eps0"):
+        build_pole_weight_tables(spec, bases)

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import gaussian, spatial_config, temporal_config
 from mws.effpot import build_bases, build_pole_weight_table
+from mws.eigenbasis import matrix_element
 from mws.errors import SolverError
 from mws.model import build_spec, channel_energies
 from mws.reconstruct import (
@@ -12,9 +13,9 @@ from mws.reconstruct import (
     bloch_wavenumber,
     component_functions,
     default_coefficients,
-    pdd,
 )
 from mws.spectra import find_roots, solve_spectrum
+from test_effpot import CASES, EPSILONS, assert_close, case_spec, reference_denominators
 
 
 def pair(height=0.3):
@@ -72,6 +73,31 @@ def test_components_scale_linearly_with_amplitude():
         assert np.allclose(c2[k], 2.0 * c1[k], rtol=1e-12, atol=1e-15)
 
 
+def reference_components(spec, bases, root, n):
+    """One matrix_element and one column per (channel, n') term."""
+    out = {h.index: np.zeros(spec.grid_points, dtype=complex) for h in spec.harmonics}
+    for channel, n_prime, basis, d in reference_denominators(spec, bases, root):
+        elem = matrix_element(basis, bases.base, spec.harmonic(channel.index).amplitude,
+                              n_prime, n)
+        out[channel.index] += basis.eigenfunctions[n_prime - 1].astype(complex) \
+            * (elem / d)
+    return out
+
+
+@pytest.mark.parametrize("n_prime", (1, 2, 4))
+@pytest.mark.parametrize("kind,denominator,basis", CASES)
+def test_components_match_per_term_loop(kind, denominator, basis, n_prime):
+    spec = case_spec(kind, denominator, basis, n_prime, 2)
+    bases = build_bases(spec)
+    for root in EPSILONS:
+        for n in range(1, bases.base.n_states + 1):
+            got = component_functions(spec, bases, root, n)
+            want = reference_components(spec, bases, root, n)
+            assert list(got) == list(want)
+            for g in want:
+                assert_close(got[g], want[g])
+
+
 def test_bloch_wavenumber_regimes():
     assert bloch_wavenumber(8.0, 0.0) == pytest.approx(4.0)
     k = bloch_wavenumber(1.0, 3.0)
@@ -98,7 +124,7 @@ def test_zero_perturbation_collapses_to_single_level():
     roots = first_root_map(result)
     field = assemble_wavefunction(spec, bases, roots)
     # no channel content: the PDD is r_p-independent
-    rho = pdd(field)
+    rho = field.rho
     assert field.axis_kind == "r_p"
     assert np.max(np.abs(rho - rho[:, :1])) < 1e-12
     psi1 = bases.base.eigenfunctions[0]
