@@ -27,24 +27,32 @@ _MAX_NEWTON = 100
 def _pole_sums(p: np.ndarray, w: np.ndarray, x: np.ndarray):
     """Compensated sum_j w_j/(x - p_j) over the last axis, in table order.
 
-    `p` and `w` broadcast against x[..., None]. The running sums are a
-    sequential `cumsum` over [0, terms...] (`np.sum` adds pairwise), so each
-    step is t = s + term exactly as in the scalar loop. Each step's rounding
-    error is taken branch-free (Knuth's two-sum); it equals the Neumaier
-    correction ((s - t) + term when |s| >= |term|, else (term - t) + s), as
-    both are the exact error of the rounded sum. The corrections are summed
-    sequentially the same way, so the result is bitwise that of the scalar
-    compensated loop. Returns (sums, terms).
+    `p` and `w` broadcast against x[..., None]. Returns (sums, terms).
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         terms = w / (x[..., None] - p)
+    return _compensated_sum(terms), terms
+
+
+def _compensated_sum(terms: np.ndarray) -> np.ndarray:
+    """Sum over the last axis, bitwise as the scalar compensated loop would.
+
+    The running sums are a sequential `cumsum` over [0, terms...] (`np.sum`
+    adds pairwise), so each step is t = s + term exactly as in the scalar
+    loop. Each step's rounding error is taken branch-free (Knuth's two-sum);
+    it equals the Neumaier correction ((s - t) + term when |s| >= |term|,
+    else (term - t) + s), as both are the exact error of the rounded sum. The
+    corrections are summed sequentially the same way. An infinite term makes
+    the sum NaN (inf - inf in its correction), as it does in the loop.
+    """
+    with np.errstate(invalid="ignore", over="ignore"):
         zero = np.zeros(terms.shape[:-1] + (1,))
         s = np.cumsum(np.concatenate([zero, terms], axis=-1), axis=-1)
         prev, run = s[..., :-1], s[..., 1:]
         back = run - prev
         err = (prev - (run - back)) + (terms - back)
         c = np.cumsum(np.concatenate([zero, err], axis=-1), axis=-1)[..., -1]
-        return s[..., -1] + c, terms
+        return s[..., -1] + c
 
 
 def _residual(p, w, eps0, x, slope: bool = False):

@@ -45,11 +45,17 @@ def _fmt(x: float) -> str:
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
+    """String cells as they are, every other cell as `_fmt` spells it: one
+    '%' template per row shape (the cell types), one '%' call per row."""
+    templates: dict[tuple, str] = {}
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(
-            cell if isinstance(cell, str) else _fmt(cell) for cell in row
-        ))
+        shape = tuple(map(type, row))
+        template = templates.get(shape)
+        if template is None:
+            template = templates[shape] = ",".join(
+                "%s" if issubclass(t, str) else "%.17g" for t in shape)
+        lines.append(template % tuple(row))
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -96,10 +102,8 @@ def cmd_basis(spec: SystemSpec, out_dir: Path, args) -> list[str]:
     bases = build_bases(spec)
     b = bases.base
     header = ["n", "eigenvalue"] + [f"psi_{i}" for i in range(spec.grid_points)]
-    rows = []
-    for n in range(1, b.n_states + 1):
-        rows.append([str(n), _fmt(b.eigenvalues[n - 1])]
-                    + [_fmt(v) for v in b.eigenfunctions[n - 1]])
+    rows = [[str(n), value] + funcs for n, (value, funcs) in
+            enumerate(zip(b.eigenvalues.tolist(), b.eigenfunctions.tolist()), start=1)]
     _write_csv(out_dir / "basis.csv", header, rows)
     return ["basis.csv"]
 
@@ -201,11 +205,10 @@ def cmd_reconstruct(spec: SystemSpec, out_dir: Path, args) -> list[str]:
     field = assemble_wavefunction(spec, result.bases, roots_by_n, n_second=n_second,
                                   allow_evanescent=args.allow_evanescent)
 
-    rows = []
-    for i, x in enumerate(field.x):
-        for j, y in enumerate(field.second_axis):
-            rows.append([x, y, field.psi[i, j].real, field.psi[i, j].imag,
-                         field.rho[i, j]])
+    n_x, n_y = field.psi.shape
+    rows = np.column_stack([np.repeat(field.x, n_y), np.tile(field.second_axis, n_x),
+                            field.psi.real.ravel(), field.psi.imag.ravel(),
+                            field.rho.ravel()]).tolist()
     axis = "r_p" if field.axis_kind == "r_p" else "t"
     _write_csv(out_dir / "field.csv", ["x", axis, "re_psi", "im_psi", "rho"], rows)
     return outputs + ["field.csv"]

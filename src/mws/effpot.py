@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from types import SimpleNamespace
 from typing import Mapping
 
 import numpy as np
@@ -98,6 +99,14 @@ class PoleWeightTable:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
+    @cached_property
+    def member_columns(self) -> SimpleNamespace:
+        """weight, eps0_aux, eps_p and cos_alpha of every member, as arrays in
+        table order (the exact-mode denominators' inputs)."""
+        members = list(_members(self))
+        return SimpleNamespace(**{name: np.array([getattr(m, name) for m in members])
+                                  for name in ("weight", "eps0_aux", "eps_p", "cos_alpha")})
+
     def proximity_tol(self) -> float:
         # merge_tol with a unit floor, for "too close to a pole" checks
         return max(self.merge_tol, 1e-9)
@@ -169,7 +178,24 @@ class ChannelTerms:
     cos_alpha: np.ndarray
     poles: np.ndarray       # pole_position under the spec mode; NaN where it raised
     errors: Mapping[int, SolverError]  # term -> its pole's error, raised by users of it
-    couplings: np.ndarray   # <psi_t|v_g|psi0_n>, shape (T, base.n_states)
+
+    @cached_property
+    def couplings(self) -> np.ndarray:
+        """<psi_t|v_g|psi0_n> for every base state, shape (T, base.n_states)."""
+        return self._coupling_block(self.bases.base.n_states)
+
+    @cached_property
+    def retained_couplings(self) -> np.ndarray:
+        """The first N_s columns of `couplings`, shape (T, N_s), which the pole
+        tables read; bitwise equal to them (each entry is its own reduction)."""
+        return self._coupling_block(self.spec.n_base)
+
+    def _coupling_block(self, n: int) -> np.ndarray:
+        # one matrix_element_block per channel, in the rows' channel order
+        blocks = [matrix_element_block(self.bases.channels[g], self.bases.base,
+                                       self.spec.harmonic(g).amplitude, self.spec.n_prime, n)
+                  for g in self.channel[::self.spec.n_prime].tolist()]
+        return np.concatenate(blocks + [np.zeros((0, n), complex)])
 
     @cached_property
     def psi(self) -> np.ndarray:
@@ -217,7 +243,7 @@ class ChannelTerms:
 
 
 def channel_terms(spec: SystemSpec, bases: ChannelBases) -> ChannelTerms:
-    """The channel-term table: rows, poles, and one coupling block per channel."""
+    """The channel-term table: rows and poles; the couplings are built on first use."""
     chans = channel_energies(spec)
     rows = [(ch, k, float(bases.channels[ch.index].eigenvalues[k - 1]))
             for ch in chans for k in range(1, spec.n_prime + 1)]
@@ -228,9 +254,6 @@ def channel_terms(spec: SystemSpec, bases: ChannelBases) -> ChannelTerms:
             poles[i] = pole_position(spec, ch, eps0_aux)
         except SolverError as exc:
             errors[i] = exc
-    blocks = [matrix_element_block(bases.channels[ch.index], bases.base,
-                                   spec.harmonic(ch.index).amplitude,
-                                   spec.n_prime, bases.base.n_states) for ch in chans]
     return ChannelTerms(
         spec=spec,
         bases=bases,
@@ -241,7 +264,6 @@ def channel_terms(spec: SystemSpec, bases: ChannelBases) -> ChannelTerms:
         cos_alpha=np.array([ch.cos_alpha for ch, _, _ in rows]),
         poles=poles,
         errors=errors,
-        couplings=np.concatenate(blocks + [np.zeros((0, bases.base.n_states), complex)]),
     )
 
 
@@ -271,7 +293,7 @@ def _build_tables(spec: SystemSpec, bases: ChannelBases, ns) -> list[PoleWeightT
 
     tables = []
     for n in ns:
-        weights = [abs(z) ** 2 for z in terms.couplings[:, n - 1].tolist()]
+        weights = [abs(z) ** 2 for z in terms.retained_couplings[:, n - 1].tolist()]
         for i, exc in terms.errors.items():
             if weights[i] != 0.0:
                 raise exc
@@ -335,16 +357,19 @@ def _members(table: PoleWeightTable):
 
 def _exact_denominator(m: PoleMember | ChannelTerms, eps, room):
     """eps - eps0' - eps_p - 2 cos(alpha) sqrt((E - eps) eps_p), room = E - eps;
-    one member's or, as an array, every channel term's."""
+    one member's or, as arrays, every channel term's or table member's."""
     return eps - m.eps0_aux - m.eps_p - 2.0 * m.cos_alpha * np.sqrt(room * m.eps_p)
+
+
+_VNN_CHUNK = 512  # energies per (energies x members) term block
 
 
 def _exact_vnn(table: PoleWeightTable, eps: np.ndarray) -> np.ndarray:
     """Exact-mode V_nn at every element of a 1-D array of energies.
 
-    Members are summed in table order with the compensated (Neumaier) update,
-    so each element rounds exactly as a one-energy evaluation would. Elements
-    where `vnn_eval` raises (within `proximity_tol()` of a pole, above E, or a
+    Members are summed in table order by `_kernels._compensated_sum`, so each
+    element rounds exactly as a one-energy evaluation would. Elements where
+    `vnn_eval` raises (within `proximity_tol()` of a pole, above E, or a
     vanishing denominator) are NaN. A zero denominator needs no mask: its
     infinite term turns the compensation into inf - inf.
     """
@@ -355,17 +380,13 @@ def _exact_vnn(table: PoleWeightTable, eps: np.ndarray) -> np.ndarray:
     left = np.maximum(right - 1, 0)
     gap = np.minimum(np.abs(poles[left] - eps), np.abs(poles[right] - eps))
     undefined = (gap <= table.proximity_tol()) | (eps > table.total_energy)
-    room = table.total_energy - eps
-    total = np.zeros(len(eps))
-    comp = np.zeros(len(eps))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for m in _members(table):
-            term = m.weight / _exact_denominator(m, eps, room)
-            t = total + term
-            comp += np.where(np.abs(total) >= np.abs(term),
-                             (total - t) + term, (term - t) + total)
-            total = t
-    out = total + comp
+    m = table.member_columns
+    out = np.empty(len(eps))
+    for start in range(0, len(eps), _VNN_CHUNK):
+        e = eps[start:start + _VNN_CHUNK, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            terms = m.weight / _exact_denominator(m, e, table.total_energy - e)
+        out[start:start + _VNN_CHUNK] = _kernels._compensated_sum(terms)
     out[undefined] = np.nan
     return out
 

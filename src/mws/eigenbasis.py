@@ -9,7 +9,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from mws.errors import EigenSolveError, PoleProximityError
 from mws.model import SystemSpec, TimePeriodic
@@ -47,6 +46,23 @@ def _trapezoid_weights(n_x: int, h: float) -> np.ndarray:
     return w
 
 
+def _toeplitz_eigenpairs(value: float, h: float, m: int, n_states: int):
+    """Lowest eigenpairs of the m x m hard-wall matrix with constant potential.
+
+    The matrix is tridiagonal Toeplitz (1/h^2 + value on the diagonal,
+    -1/(2h^2) off it), with eigenvalues value + (2/h^2) sin^2(k pi/(2(m+1)))
+    and eigenvectors sqrt(2/(m+1)) sin(i k pi/(m+1)) (Noschese, Pasquini &
+    Reichel, Numer. Linear Algebra Appl. 20, 302 (2013)). The sin^2 form
+    avoids the cancellation of 1 - cos at low k; i*k is reduced modulo
+    2(m+1) in integers so every sine argument stays below 2 pi.
+    """
+    k = np.arange(1, n_states + 1)
+    theta = np.pi / (m + 1)
+    vals = value + (2.0 / (h * h)) * np.sin(0.5 * theta * k) ** 2
+    phase = np.outer(np.arange(1, m + 1), k) % (2 * (m + 1))
+    return vals, np.sqrt(2.0 / (m + 1)) * np.sin(theta * phase)
+
+
 def _diagonalize(potential: np.ndarray, grid: np.ndarray, n_states: int,
                  tag: str) -> EigenBasis:
     n_x = len(grid)
@@ -56,15 +72,21 @@ def _diagonalize(potential: np.ndarray, grid: np.ndarray, n_states: int,
             f"interior points"
         )
     h = grid[1] - grid[0]
-    diag = 1.0 / (h * h) + potential[1:-1]
-    off = np.full(n_x - 3, -0.5 / (h * h))
-    try:
-        vals, vecs = eigh_tridiagonal(diag, off, select="i",
-                                      select_range=(0, n_states - 1))
-    except Exception as exc:  # pragma: no cover - scipy failure path
-        raise EigenSolveError(
-            f"tridiagonal eigensolve failed (n_x={n_x}, h={h!r}): {exc}"
-        ) from exc
+    interior = potential[1:-1]
+    if np.all(interior == interior[0]):
+        vals, vecs = _toeplitz_eigenpairs(float(interior[0]), h, n_x - 2, n_states)
+    else:
+        from scipy.linalg import eigh_tridiagonal  # LAPACK only where needed
+
+        diag = 1.0 / (h * h) + interior
+        off = np.full(n_x - 3, -0.5 / (h * h))
+        try:
+            vals, vecs = eigh_tridiagonal(diag, off, select="i",
+                                          select_range=(0, n_states - 1))
+        except Exception as exc:  # pragma: no cover - scipy failure path
+            raise EigenSolveError(
+                f"tridiagonal eigensolve failed (n_x={n_x}, h={h!r}): {exc}"
+            ) from exc
 
     funcs = np.zeros((n_states, n_x))
     # discrete l2-orthonormal columns + zero endpoints => trapezoid norm is

@@ -10,7 +10,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from mws.errors import SolverError
 from mws.model import SystemSpec, scale_amplitudes
@@ -173,6 +172,10 @@ def polynomial_roots_oracle(table, epsilon0: float) -> np.ndarray:
 
 
 def _hard_wall_levels(potential: np.ndarray, grid: np.ndarray, n_states: int):
+    # LAPACK for every potential, so the oracle stays independent of the
+    # closed form the solver uses for constant ones
+    from scipy.linalg import eigh_tridiagonal
+
     h = grid[1] - grid[0]
     diag = 1.0 / (h * h) + potential[1:-1]
     off = np.full(len(grid) - 3, -0.5 / (h * h))

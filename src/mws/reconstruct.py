@@ -40,7 +40,8 @@ def component_functions(spec: SystemSpec, bases: ChannelBases, root: float,
     if not (1 <= n <= bases.base.n_states):
         raise IndexError(f"base state {n} out of range 1..{bases.base.n_states}")
     terms = channel_terms(spec, bases)
-    coeff = terms.couplings[:, n - 1] / terms.denominators(root)
+    couplings = terms.retained_couplings if n <= spec.n_base else terms.couplings
+    coeff = couplings[:, n - 1] / terms.denominators(root)
     return {h.index: coeff[terms.channel == h.index] @ terms.psi[terms.channel == h.index]
             for h in spec.harmonics}
 

@@ -9,7 +9,7 @@ import pytest
 
 from conftest import fig_anchor_harmonics, gaussian, spatial_config, \
     temporal_config, weak_harmonics
-from mws.cli import main
+from mws.cli import _write_csv, main
 from mws.effpot import build_bases, build_pole_weight_table
 from mws.model import build_spec
 from mws.spectra import find_roots_exact
@@ -28,6 +28,29 @@ def run(args):
 def read_rows(path):
     lines = path.read_text().strip().split("\n")
     return lines[0].split(","), [line.split(",") for line in lines[1:]]
+
+
+def write_csv_per_cell(path, header, rows):
+    """The writer as it was: one format call per cell."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(
+            cell if isinstance(cell, str) else f"{float(cell):.17g}" for cell in row
+        ))
+    path.write_text("\n".join(lines) + "\n")
+
+
+def test_csv_writer_matches_per_cell_formatting(tmp_path):
+    specials = [float("nan"), float("inf"), -float("inf"), -0.0, 0.0, 5e-324,
+                1.7976931348623157e308, -2.2250738585072014e-308, 0.1, 1.0 / 3.0,
+                np.float64(-0.0), np.float64("nan"), np.float64(2.5e-17), 7, np.int64(-3)]
+    rows = [[str(i), x, "lbl", np.float64(x) if i % 2 else x] for i, x in enumerate(specials)]
+    rows += [[x, y] for x, y in zip(specials, reversed(specials))]
+    rows += [["only", "strings"], [], [np.float64(np.pi)] * 6]
+    header = ["a", "b", "c", "d"]
+    _write_csv(tmp_path / "new.csv", header, rows)
+    write_csv_per_cell(tmp_path / "old.csv", header, rows)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
 def test_spectrum_artifacts_and_counts(tmp_path):

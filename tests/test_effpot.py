@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import mws.effpot as effpot
 from conftest import fig_anchor_harmonics, gaussian, spatial_config, temporal_config
 from mws.effpot import (
     ChannelBases,
@@ -113,8 +114,10 @@ def test_table_zero_amplitudes_is_empty():
 
 def test_table_merges_coincident_poles():
     # put (n'=1, k=+1) and (n'=2, k=-1) on one pole by choosing omega as half
-    # the measured level gap, so eps_1 + omega == eps_2 - omega up to roundoff
-    bump = gaussian(0.5, 0.5, 0.2)
+    # the measured level gap, so eps_1 + omega == eps_2 - omega up to roundoff;
+    # the bump is off-centre, since by parity a centred one does not couple
+    # base state 1 to n'=2
+    bump = gaussian(0.5, 0.4, 0.2)
     cfg = temporal_config([{"index": k, "amplitude": bump} for k in (-1, 1)],
                           omega=1.0, n_base=2, n_prime=2)
     probe = build_bases(build_spec(cfg))
@@ -210,13 +213,14 @@ def test_tables_equal_per_state_reference(kind, denominator, basis, n_prime, n_b
 
 
 def test_tables_equal_reference_with_zero_weights_and_merges():
-    # one zero channel drops its members; the merge case puts two on one pole
+    # one zero channel drops its members; the merge case puts two on one pole.
+    # The bump is off-centre so that every (n', n) pair couples (parity).
     zero = {"kind": "constant", "value": 0.0}
-    one_sided = temporal_config([{"index": 1, "amplitude": gaussian(0.5, 0.5, 0.2)},
+    bump = gaussian(0.5, 0.4, 0.2)
+    one_sided = temporal_config([{"index": 1, "amplitude": bump},
                                  {"index": -1, "amplitude": zero}], n_base=2, n_prime=2)
     tables = assert_tables_match_reference(build_spec(one_sided))
     assert [[e.labels for e in t.entries] for t in tables] == [[((1, 1),), ((1, 2),)]] * 2
-    bump = gaussian(0.5, 0.5, 0.2)
     cfg = temporal_config([{"index": k, "amplitude": bump} for k in (-1, 1)],
                           omega=1.0, n_base=2, n_prime=2)
     e1, e2 = build_bases(build_spec(cfg)).base.eigenvalues[:2]
@@ -581,6 +585,8 @@ def test_channel_terms_match_per_term_loops(kind, denominator, basis, n_prime):
     assert terms.channel.tolist() == [ch.index for ch, _, _, _ in ref]
     assert terms.n_prime.tolist() == [k for _, k, _, _ in ref]
     assert terms.couplings.shape == (len(ref), bases.base.n_states)
+    assert terms.retained_couplings.tobytes() == \
+        np.ascontiguousarray(terms.couplings[:, :spec.n_base]).tobytes()
     phi = np.sin(spec.grid) + 0.3j * np.cos(2.0 * spec.grid)
     for eps in EPSILONS:
         d = terms.denominators(eps)
@@ -589,6 +595,27 @@ def test_channel_terms_match_per_term_loops(kind, denominator, basis, n_prime):
         assert_close(ep_kernel_matrix(spec, bases, eps), reference_kernel(spec, bases, eps))
         assert_close(apply_effective_potential(spec, bases, eps, phi),
                      reference_apply(spec, bases, eps, phi))
+
+
+def test_only_components_past_n_s_build_every_coupling_column(monkeypatch):
+    spec = case_spec("temporal", "approx", "unperturbed", 4, 2)
+    bases = build_bases(spec)
+    assert bases.base.n_states == 4
+    widths = []
+    block = effpot.matrix_element_block
+
+    def counted(*args):
+        widths.append(args[-1])
+        return block(*args)
+
+    monkeypatch.setattr(effpot, "matrix_element_block", counted)
+    build_pole_weight_tables(spec, bases)
+    ep_kernel_matrix(spec, bases, -30.0)
+    apply_effective_potential(spec, bases, -30.0, np.ones(spec.grid_points))
+    component_functions(spec, bases, -30.0, 2)
+    assert set(widths) == {2}
+    component_functions(spec, bases, -30.0, 3)
+    assert widths[-1] == 4
 
 
 @pytest.mark.parametrize("kind", ("temporal", "spatial"))

@@ -1,5 +1,10 @@
 """Discrete eigenproblem, matrix elements, and Green function checks."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -280,14 +285,15 @@ def real_drive(n_p, height=0.3):
 
 
 def count_eigensolves(monkeypatch):
+    # both the closed-form and the LAPACK branch run inside _diagonalize
     calls = []
-    solve = eigenbasis.eigh_tridiagonal
+    solve = eigenbasis._diagonalize
 
     def counted(*args, **kwargs):
         calls.append(args)
         return solve(*args, **kwargs)
 
-    monkeypatch.setattr(eigenbasis, "eigh_tridiagonal", counted)
+    monkeypatch.setattr(eigenbasis, "_diagonalize", counted)
     return calls
 
 
@@ -319,3 +325,64 @@ def test_zero_drive_v1_reuses_base_eigenbasis(monkeypatch):
         ["v1[k=-1]", "v1[k=-2]", "v1[k=1]", "v1[k=2]"]
     assert all(b.eigenfunctions is bases.base.eigenfunctions
                for b in bases.channels.values())
+
+
+@pytest.mark.parametrize("n_x", (8, 50, 200, 256, 400, 1001))
+@pytest.mark.parametrize("value", (0.0, -3.7, 12.5))
+def test_closed_form_matches_lapack(n_x, value):
+    from scipy.linalg import eigh_tridiagonal
+
+    grid = np.linspace(0.0, L, n_x)
+    h = grid[1] - grid[0]
+    n_states = min(n_x - 2, 32)
+    basis = eigenbasis._diagonalize(np.full(n_x, value), grid, n_states, "t")
+    vals, vecs = eigh_tridiagonal(np.full(n_x - 2, 1.0 / (h * h) + value),
+                                  np.full(n_x - 3, -0.5 / (h * h)),
+                                  select="i", select_range=(0, n_states - 1))
+    want = np.zeros((n_states, n_x))
+    want[:, 1:-1] = vecs.T / np.sqrt(h)
+    for f in want:
+        lobe = f[np.flatnonzero(np.abs(f) > 1e-8 * np.max(np.abs(f)))[0]]
+        f *= np.sign(lobe)
+    u = np.finfo(float).eps
+    assert np.max(np.abs(basis.eigenvalues - vals)) <= 64 * u * 4.0 / (h * h)
+    assert np.max(np.abs(basis.eigenfunctions - want)) <= 1e-11
+    gram = (basis.quad_weights * basis.eigenfunctions) @ basis.eigenfunctions.T
+    assert np.max(np.abs(gram - np.eye(n_states))) <= 1e-13
+
+
+def run_python(code):
+    src = str(Path(eigenbasis.__file__).resolve().parents[1])
+    tests = str(Path(__file__).resolve().parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, tests]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_import_loads_no_scipy():
+    out = run_python("import sys, mws, mws.cli\n"
+                     "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    assert out.strip() == "[]"
+
+
+def test_constant_potential_solves_without_scipy():
+    # a finder that refuses scipy: the closed form must not need it
+    out = run_python("""
+import sys
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError("scipy blocked")
+
+sys.meta_path.insert(0, NoScipy())
+from conftest import fig_anchor_harmonics, spatial_config, temporal_config, weak_harmonics
+from mws.model import build_spec
+from mws.spectra import solve_spectrum
+
+for cfg in (spatial_config(fig_anchor_harmonics()), temporal_config(weak_harmonics())):
+    print(len(list(solve_spectrum(build_spec(cfg)).all_roots())))
+""")
+    assert [int(n) > 0 for n in out.split()] == [True, True]
