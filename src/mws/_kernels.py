@@ -12,6 +12,10 @@ seed is then bracketed with a sign certificate f(lo) > 0 > f(hi) and refined
 by safeguarded Newton steps inside the bracket (R.-C. Li, LAPACK Working
 Note 89, 1994). All intervals of all tables with the same pole count are
 handled as one set of arrays.
+
+`_pole_sums` is the one compensated evaluator of sum_j w_j/(x - p_j): the
+solver's residuals and every V_nn evaluation (`effpot._vnn`) go through it
+or through `_compensated_sum`, its summation step.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ def _pole_sums(p: np.ndarray, w: np.ndarray, x: np.ndarray):
 
 
 def _compensated_sum(terms: np.ndarray) -> np.ndarray:
-    """Sum over the last axis, bitwise as the scalar compensated loop would.
+    """Sum over the last axis, bitwise as a scalar Neumaier loop would.
 
     The running sums are a sequential `cumsum` over [0, terms...] (`np.sum`
     adds pairwise), so each step is t = s + term exactly as in the scalar
@@ -63,29 +67,6 @@ def _residual(p, w, eps0, x, slope: bool = False):
         return f
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         return f, -np.sum(terms / (x[..., None] - p), axis=-1) - 1.0
-
-
-def secular_sum(poles, weights, x: float) -> float:
-    """Sum of simple poles sum_j w_j / (x - p_j), compensated, in table order.
-
-    The scalar form of `_pole_sums`, which rounds every row the same way.
-    """
-    s = 0.0
-    c = 0.0
-    for j in range(len(poles)):
-        term = weights[j] / (x - poles[j])
-        t = s + term
-        if abs(s) >= abs(term):
-            c += (s - t) + term
-        else:
-            c += (term - t) + s
-        s = t
-    return float(s + c)
-
-
-def secular_residual(poles, weights, eps0: float, x: float) -> float:
-    """f(x) = sum_j w_j/(x - p_j) - x + eps0; strictly decreasing between poles."""
-    return secular_sum(poles, weights, x) + (eps0 - x)
 
 
 def solve_secular(poles, weights, eps0: float):

@@ -12,6 +12,7 @@ import json
 import sys
 import time
 import warnings
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -24,8 +25,8 @@ from mws.model import SystemSpec, build_spec
 from mws.oracle import coupled_matrix_diagonalization, run_all_oracles, \
     subset_recovery_distance
 from mws.reconstruct import assemble_wavefunction
-from mws.spectra import exact_scan_edges, find_roots, find_roots_exact, \
-    group_realisations, realisation_separation, solve_spectrum
+from mws.spectra import exact_scan_edges, find_roots_exact, group_realisations, \
+    realisation_separation, solve_spectrum
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -129,21 +130,8 @@ def _spectrum_outputs(spec: SystemSpec, out_dir: Path):
     _write_csv(out_dir / "poles.csv",
                ["n", "g_or_k", "n_prime", "pole", "weight"], rows)
 
-    counts = {
-        "n_p": result.counts.n_p,
-        "n_prime": result.counts.n_prime,
-        "n_s": result.counts.n_s,
-        "n_max": result.counts.n_max,
-        "n_0": result.counts.n_0,
-        "n_delta": result.counts.n_delta,
-        "n_max_reduced": result.counts.n_max_reduced,
-        "n_0_reduced": result.counts.n_0_reduced,
-        "n_delta_reduced": result.counts.n_delta_reduced,
-        "max_per_normal_reduced": result.counts.max_per_normal_reduced,
-        "observed_total": result.observed_total,
-        "degeneracy_deficit": result.degeneracy_deficit,
-        "mode": result.mode,
-    }
+    counts = dict(asdict(result.counts), observed_total=result.observed_total,
+                  degeneracy_deficit=result.degeneracy_deficit, mode=result.mode)
     try:
         sep = realisation_separation(spec, want_min=spec.is_spatial)
         counts["separation_max_estimate"] = sep.max_estimate
@@ -238,12 +226,10 @@ def cmd_figure1(spec: SystemSpec, out_dir: Path, args) -> list[str]:
         for entry in table.entries:
             for m in entry.members:
                 asym_rows.append([str(n), entry.pole, str(m.channel), str(m.n_prime)])
-        exact = table.spatial and table.mode == "exact"
-        roots = find_roots_exact(table, eps0) if exact else find_roots(table, eps0).roots
-        for j, r in enumerate(roots, start=1):
+        for j, r in enumerate(find_roots_exact(table, eps0), start=1):
             root_rows.append([str(n), str(j), r])
 
-        if exact:
+        if table.spatial and table.mode == "exact":
             # the exact relation ends at E, so the curve ends where the scan does
             edges = exact_scan_edges(table, eps0)
             segments = [(a, b, b - a) for a, b in zip(edges[:-1], edges[1:])]
@@ -254,12 +240,10 @@ def cmd_figure1(spec: SystemSpec, out_dir: Path, args) -> list[str]:
             margin = max(spread, 1.0)
             edges = [poles[0] - margin] + list(poles) + [poles[-1] + margin]
             segments = [(a, b, b - a) for a, b in zip(edges[:-1], edges[1:])]
-        for a, b, gap in segments:
-            delta = 1e-4 * gap
-            xs = np.linspace(a + delta, b - delta, per_interval)
-            for eps in xs:
-                curve_rows.append([str(n), eps, vnn_eval(table, float(eps)),
-                                   eps - eps0])
+        xs = np.concatenate([np.linspace(a + 1e-4 * gap, b - 1e-4 * gap, per_interval)
+                             for a, b, gap in segments])
+        curve_rows += [[str(n), eps, v, eps - eps0] for eps, v in
+                       zip(xs.tolist(), vnn_eval(table, xs).tolist())]
 
     _write_csv(out_dir / "curve.csv", ["n", "epsilon", "v_nn", "line"], curve_rows)
     _write_csv(out_dir / "asymptotes.csv", ["n", "pole", "g_or_k", "n_prime"], asym_rows)

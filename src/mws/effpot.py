@@ -101,11 +101,12 @@ class PoleWeightTable:
 
     @cached_property
     def member_columns(self) -> SimpleNamespace:
-        """weight, eps0_aux, eps_p and cos_alpha of every member, as arrays in
-        table order (the exact-mode denominators' inputs)."""
-        members = list(_members(self))
+        """channel, n_prime, weight, eps0_aux, eps_p and cos_alpha of every
+        member, as arrays in table order (the exact-mode denominators' inputs)."""
+        members = [m for e in self.entries for m in e.members]
+        names = ("channel", "n_prime", "weight", "eps0_aux", "eps_p", "cos_alpha")
         return SimpleNamespace(**{name: np.array([getattr(m, name) for m in members])
-                                  for name in ("weight", "eps0_aux", "eps_p", "cos_alpha")})
+                                  for name in names})
 
     def proximity_tol(self) -> float:
         # merge_tol with a unit floor, for "too close to a pole" checks
@@ -323,10 +324,24 @@ def _build_tables(spec: SystemSpec, bases: ChannelBases, ns) -> list[PoleWeightT
     return tables
 
 
-def vnn_eval(table: PoleWeightTable, epsilon: float) -> float:
-    """V_nn at one energy: rational sum (approx) or full denominators (exact)."""
-    if not table.entries:
-        return 0.0
+def vnn_eval(table: PoleWeightTable, epsilon):
+    """V_nn at one energy (a float back) or a 1-D array of energies (an array
+    back): rational sum (approx, temporal) or full denominators (exact spatial).
+
+    Raises for the first energy where V_nn is undefined: within
+    `proximity_tol()` of a pole, above E in exact mode, or where an exact
+    denominator vanishes.
+    """
+    eps = np.asarray(epsilon, dtype=float)
+    values = _vnn(table, eps.reshape(-1))
+    for i in np.flatnonzero(np.isnan(values)).tolist():
+        _raise_undefined(table, float(eps.flat[i]))
+    return values.reshape(eps.shape) if eps.ndim else float(values[0])
+
+
+def _raise_undefined(table: PoleWeightTable, epsilon: float) -> None:
+    """Raise why V_nn is NaN at epsilon, checking in the order: nearest pole,
+    epsilon > E, vanishing exact denominator. Returns if none applies."""
     poles = table.poles
     tol = table.proximity_tol()
     nearest = int(np.argmin(np.abs(poles - epsilon)))
@@ -335,42 +350,37 @@ def vnn_eval(table: PoleWeightTable, epsilon: float) -> float:
             f"epsilon {epsilon!r} is within {tol!r} of pole {poles[nearest]!r}"
         )
     if table.mode == "approx" or not table.spatial:
-        return float(_kernels.secular_sum(poles, table.weights, epsilon))
+        return
     e = table.total_energy
     if epsilon > e:
         raise SolverError(f"exact mode requires epsilon <= E, got {epsilon!r} > {e!r}")
-    value = float(_exact_vnn(table, np.array([epsilon]))[0])
-    if math.isnan(value):
-        for m in _members(table):
-            if _exact_denominator(m, epsilon, e - epsilon) == 0.0:
-                raise PoleProximityError(
-                    f"exact denominator vanished at epsilon {epsilon!r} "
-                    f"(channel {m.channel}, n'={m.n_prime})"
-                )
-    return value
+    m = table.member_columns
+    zero = np.flatnonzero(_exact_denominator(m, epsilon, e - epsilon) == 0.0)
+    if len(zero):
+        raise PoleProximityError(
+            f"exact denominator vanished at epsilon {epsilon!r} "
+            f"(channel {m.channel[zero[0]]}, n'={m.n_prime[zero[0]]})"
+        )
 
 
-def _members(table: PoleWeightTable):
-    for entry in table.entries:
-        yield from entry.members
-
-
-def _exact_denominator(m: PoleMember | ChannelTerms, eps, room):
+def _exact_denominator(m: SimpleNamespace | ChannelTerms, eps, room):
     """eps - eps0' - eps_p - 2 cos(alpha) sqrt((E - eps) eps_p), room = E - eps;
-    one member's or, as arrays, every channel term's or table member's."""
+    as arrays, of every channel term or table member."""
     return eps - m.eps0_aux - m.eps_p - 2.0 * m.cos_alpha * np.sqrt(room * m.eps_p)
 
 
 _VNN_CHUNK = 512  # energies per (energies x members) term block
 
 
-def _exact_vnn(table: PoleWeightTable, eps: np.ndarray) -> np.ndarray:
-    """Exact-mode V_nn at every element of a 1-D array of energies.
+def _vnn(table: PoleWeightTable, eps: np.ndarray) -> np.ndarray:
+    """V_nn at every element of a 1-D array of energies, NaN where undefined.
 
-    Members are summed in table order by `_kernels._compensated_sum`, so each
-    element rounds exactly as a one-energy evaluation would. Elements where
-    `vnn_eval` raises (within `proximity_tol()` of a pole, above E, or a
-    vanishing denominator) are NaN. A zero denominator needs no mask: its
+    The rational form (approx mode, temporal drives) sums the table's poles,
+    the exact spatial form its members' square-root denominators; both in
+    table order by `_kernels._compensated_sum`, so each element rounds
+    exactly as a one-energy evaluation would. Elements within
+    `proximity_tol()` of a pole, above E in exact mode, or where an exact
+    denominator vanishes are NaN. A zero denominator needs no mask: its
     infinite term turns the compensation into inf - inf.
     """
     if not table.entries:
@@ -379,14 +389,21 @@ def _exact_vnn(table: PoleWeightTable, eps: np.ndarray) -> np.ndarray:
     right = np.minimum(np.searchsorted(poles, eps), len(poles) - 1)
     left = np.maximum(right - 1, 0)
     gap = np.minimum(np.abs(poles[left] - eps), np.abs(poles[right] - eps))
-    undefined = (gap <= table.proximity_tol()) | (eps > table.total_energy)
-    m = table.member_columns
+    undefined = gap <= table.proximity_tol()
+    exact = table.spatial and table.mode == "exact"
+    if exact:
+        undefined |= eps > table.total_energy
+        m = table.member_columns
     out = np.empty(len(eps))
     for start in range(0, len(eps), _VNN_CHUNK):
-        e = eps[start:start + _VNN_CHUNK, None]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            terms = m.weight / _exact_denominator(m, e, table.total_energy - e)
-        out[start:start + _VNN_CHUNK] = _kernels._compensated_sum(terms)
+        e = eps[start:start + _VNN_CHUNK]
+        if exact:
+            room = table.total_energy - e[:, None]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                terms = m.weight / _exact_denominator(m, e[:, None], room)
+            out[start:start + _VNN_CHUNK] = _kernels._compensated_sum(terms)
+        else:
+            out[start:start + _VNN_CHUNK] = _kernels._pole_sums(poles, table.weights, e)[0]
     out[undefined] = np.nan
     return out
 

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from mws import _kernels
-from mws.effpot import ChannelBases, PoleWeightTable, _exact_vnn, \
-    apply_effective_potential, build_bases, build_pole_weight_tables
+from mws.effpot import ChannelBases, PoleWeightTable, _vnn, apply_effective_potential, \
+    build_bases, build_pole_weight_tables, exact_pole_pair
 from mws.eigenbasis import EigenBasis, apply_kinetic, matrix_element, \
     solve_base_eigenproblem
 from mws.errors import SolverError, UnsupportedModeError
@@ -117,13 +117,20 @@ _NEAR_POLE_SCALES = np.array([10.0 ** (-j) for j in range(12, 0, -1)])
 
 
 def exact_scan_edges(table: PoleWeightTable, epsilon0: float) -> list[float]:
-    """Interval edges of the exact-mode scan: a lower bound, the poles below E, E.
+    """Interval edges of the exact-mode scan: a lower bound, the singularities
+    below E, E.
 
     The exact relation is defined only up to epsilon = E, so poles at or
-    above E bound nothing.
+    above E bound nothing. A cos(alpha) = -1 member with
+    0 <= E - eps0' < eps_p has a second singularity, the plus branch of
+    `exact_pole_pair`, which its table pole does not list.
     """
     e = table.total_energy
-    poles = [float(p) for p in table.poles if p < e]
+    m = table.member_columns
+    plus = [exact_pole_pair(level, eps_p, e)[0] for level, eps_p, cos_alpha in
+            zip(m.eps0_aux.tolist(), m.eps_p.tolist(), m.cos_alpha.tolist())
+            if cos_alpha == -1.0 and 0.0 <= e - level < eps_p]
+    poles = [p for p in np.unique(np.concatenate([table.poles, plus])).tolist() if p < e]
     if poles:
         spread = poles[-1] - poles[0] if len(poles) > 1 else 0.0
         lo = min(poles[0], epsilon0) - (spread + 1.0)
@@ -135,11 +142,13 @@ def exact_scan_edges(table: PoleWeightTable, epsilon0: float) -> list[float]:
     return [lo] + [p for p in poles if lo < p < hi] + [hi]
 
 
-def find_roots_exact(table: PoleWeightTable, epsilon0: float,
-                     n_samples: int = 4001) -> np.ndarray:
+_SCAN_SAMPLES = 4001  # shared among the scan's intervals, at least 16 each
+
+
+def find_roots_exact(table: PoleWeightTable, epsilon0: float) -> np.ndarray:
     """Diagnostic scan roots for the exact denominators (no count claim).
 
-    Samples each pole-bounded interval, approaching the singular endpoints
+    Samples each interval between singularities, approaching its ends
     geometrically so roots hugging a pole are not stepped over, then bisects
     every sign change. The scan stops at epsilon = E where the square roots
     turn imaginary. Tables without exact square-root denominators go to
@@ -152,9 +161,9 @@ def find_roots_exact(table: PoleWeightTable, epsilon0: float,
 
     def f(eps: np.ndarray) -> np.ndarray:
         # NaN where the exact relation is undefined
-        return _exact_vnn(table, eps) - eps + epsilon0
+        return _vnn(table, eps) - eps + epsilon0
 
-    per = max(16, n_samples // max(1, len(edges) - 1))
+    per = max(16, _SCAN_SAMPLES // max(1, len(edges) - 1))
     samples = []
     for a, b in zip(edges, edges[1:]):
         gap = b - a

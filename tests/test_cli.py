@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,9 +11,12 @@ import pytest
 from conftest import fig_anchor_harmonics, gaussian, spatial_config, \
     temporal_config, weak_harmonics
 from mws.cli import _write_csv, main
-from mws.effpot import build_bases, build_pole_weight_table
+from mws.effpot import build_bases, build_pole_weight_table, build_pole_weight_tables, \
+    vnn_eval
 from mws.model import build_spec
-from mws.spectra import find_roots_exact
+from mws.spectra import exact_scan_edges, find_roots_exact
+
+DOC_CONFIGS = Path(__file__).resolve().parents[1] / "perfbench" / "configs"
 
 
 def write_config(tmp_path, cfg, name="config.json"):
@@ -242,6 +246,42 @@ def test_figure1_exact_mode_spatial(tmp_path):
     below = table.poles[table.poles < 12.0]
     assert len(curve) == 40 * (len(below) + 1)
     assert np.all(eps < 12.0)
+
+
+def write_curve_per_point(path, spec, per_interval):
+    """The figure1 curve as it was written: one scalar vnn_eval per sample."""
+    bases = build_bases(spec)
+    rows = []
+    for n, table in enumerate(build_pole_weight_tables(spec, bases), start=1):
+        eps0 = float(bases.base.eigenvalues[n - 1])
+        poles = table.poles
+        if table.spatial and table.mode == "exact":
+            edges = exact_scan_edges(table, eps0)
+            segments = [(a, b, b - a) for a, b in zip(edges[:-1], edges[1:])]
+        elif len(poles) == 0:
+            segments = [(eps0 - 1.0, eps0 + 1.0, 2.0)]
+        else:
+            margin = max(float(poles[-1] - poles[0]) if len(poles) > 1 else 1.0, 1.0)
+            edges = [poles[0] - margin] + list(poles) + [poles[-1] + margin]
+            segments = [(a, b, b - a) for a, b in zip(edges[:-1], edges[1:])]
+        for a, b, gap in segments:
+            delta = 1e-4 * gap
+            for eps in np.linspace(a + delta, b - delta, per_interval):
+                rows.append([str(n), eps, vnn_eval(table, float(eps)), eps - eps0])
+    write_csv_per_cell(path, ["n", "epsilon", "v_nn", "line"], rows)
+
+
+@pytest.mark.filterwarnings("ignore:the graphical dump")
+@pytest.mark.parametrize("name,mode", [("doc_spatial", "approx"), ("doc_spatial", "exact"),
+                                       ("doc_temporal", "approx")])
+def test_figure1_curve_matches_per_point_writer(tmp_path, name, mode):
+    cfg = json.loads((DOC_CONFIGS / f"{name}.json").read_text())
+    out = tmp_path / "out"
+    assert run(["figure1", "--config", str(DOC_CONFIGS / f"{name}.json"), "--out", str(out),
+                "--mode", mode]) == 0
+    spec = build_spec(dict(cfg, modes=dict(cfg["modes"], denominator=mode)))
+    write_curve_per_point(tmp_path / "want.csv", spec, 200)
+    assert (out / "curve.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
 def test_figure1_multi_state_warns(tmp_path):

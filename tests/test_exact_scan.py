@@ -1,9 +1,9 @@
-"""Exact-mode scan: the array evaluation must reproduce the scalar one bit for bit.
+"""V_nn and the exact-mode scan: the array evaluation must reproduce the scalar one bit for bit.
 
 `reference_vnn` and `reference_scan` are the one-energy-at-a-time evaluation
 and scan that the array code replaced. Roots must be `np.array_equal` to
 theirs, and the array V_nn must equal the scalar value element for element,
-NaN where the scalar raises.
+NaN where the scalar raises, in exact and approx mode alike.
 """
 
 import math
@@ -12,16 +12,18 @@ import re
 import numpy as np
 import pytest
 
-from conftest import fig_anchor_harmonics, gaussian, spatial_config
-from mws.effpot import PoleEntry, PoleMember, PoleWeightTable, _exact_vnn, \
-    build_bases, build_pole_weight_table, exact_pole_general, vnn_eval
+from conftest import fig_anchor_harmonics, gaussian, spatial_config, temporal_config, \
+    weak_harmonics
+from mws.effpot import PoleEntry, PoleMember, PoleWeightTable, _vnn, build_bases, \
+    build_pole_weight_table, exact_pole_general, exact_pole_pair, vnn_eval
 from mws.errors import PoleProximityError, SolverError
 from mws.model import build_spec
 from mws.spectra import _bisect, find_roots_exact
 
 
 def reference_vnn(table, epsilon):
-    """Scalar exact-mode V_nn with per-member compensated summation."""
+    """Scalar V_nn with per-term compensated summation: over the poles in
+    approx mode and for temporal drives, over the exact denominators else."""
     if not table.entries:
         return 0.0
     poles = np.array([e.pole for e in table.entries])
@@ -31,27 +33,32 @@ def reference_vnn(table, epsilon):
         raise PoleProximityError(
             f"epsilon {epsilon!r} is within {tol!r} of pole {poles[nearest]!r}"
         )
-    e = table.total_energy
-    if epsilon > e:
-        raise SolverError(f"exact mode requires epsilon <= E, got {epsilon!r} > {e!r}")
+    if table.mode == "approx" or not table.spatial:
+        terms = [e.weight / (epsilon - e.pole) for e in table.entries]
+    else:
+        e = table.total_energy
+        if epsilon > e:
+            raise SolverError(f"exact mode requires epsilon <= E, got {epsilon!r} > {e!r}")
+        terms = []
+        for entry in table.entries:
+            for m in entry.members:
+                d = epsilon - m.eps0_aux - m.eps_p \
+                    - 2.0 * m.cos_alpha * math.sqrt((e - epsilon) * m.eps_p)
+                if d == 0.0:
+                    raise PoleProximityError(
+                        f"exact denominator vanished at epsilon {epsilon!r} "
+                        f"(channel {m.channel}, n'={m.n_prime})"
+                    )
+                terms.append(m.weight / d)
     total = 0.0
     comp = 0.0
-    for entry in table.entries:
-        for m in entry.members:
-            d = epsilon - m.eps0_aux - m.eps_p \
-                - 2.0 * m.cos_alpha * math.sqrt((e - epsilon) * m.eps_p)
-            if d == 0.0:
-                raise PoleProximityError(
-                    f"exact denominator vanished at epsilon {epsilon!r} "
-                    f"(channel {m.channel}, n'={m.n_prime})"
-                )
-            term = m.weight / d
-            t = total + term
-            if abs(total) >= abs(term):
-                comp += (total - t) + term
-            else:
-                comp += (term - t) + total
-            total = t
+    for term in terms:
+        t = total + term
+        if abs(total) >= abs(term):
+            comp += (total - t) + term
+        else:
+            comp += (term - t) + total
+        total = t
     return total + comp
 
 
@@ -170,7 +177,24 @@ def synthetic_tables():
              synthetic([m for _, m in angle], [p for p, _ in angle], 12.0), 2.0)]
 
 
+def approx_tables():
+    """(label, table, eps0) of rational tables: spatial approx mode and temporal."""
+    configs = [(f"approx Np={n_p} n'={n_prime}",
+                spatial_config(harmonics(n_p), energy=14.5, n_base=2, n_prime=n_prime))
+               for n_p in (1, 2, 4) for n_prime in (1, 4)]
+    configs += [(f"temporal n'={n_prime}", temporal_config(weak_harmonics(), n_prime=n_prime))
+                for n_prime in (1, 4)]
+    out = []
+    for label, cfg in configs:
+        spec = build_spec(cfg)
+        bases = build_bases(spec)
+        out += [(f"{label} n={n}", build_pole_weight_table(spec, bases, n),
+                 float(bases.base.eigenvalues[n - 1])) for n in (1, 2)]
+    return out
+
+
 CASES = spec_tables() + synthetic_tables()
+VNN_CASES = CASES + approx_tables()
 
 
 def probe_points(table, eps0):
@@ -192,23 +216,30 @@ def test_scan_roots_bitwise_equal_to_scalar_scan(label, table, eps0):
     assert np.array_equal(got, want), label
 
 
-@pytest.mark.parametrize("label,table,eps0", CASES, ids=[c[0] for c in CASES])
+@pytest.mark.parametrize("label,table,eps0", VNN_CASES, ids=[c[0] for c in VNN_CASES])
 def test_array_vnn_matches_scalar_elementwise(label, table, eps0):
     xs = probe_points(table, eps0)
-    got = _exact_vnn(table, xs)
-    undefined = 0
+    got = _vnn(table, xs)
+    errors = []
     for x, g in zip(xs.tolist(), got.tolist()):
         try:
             want = reference_vnn(table, x)
         except SolverError as err:
-            undefined += 1
+            errors.append(err)
             assert math.isnan(g), (label, x)
-            with pytest.raises(type(err), match=re.escape(str(err))):
-                vnn_eval(table, x)
+            for arg in (x, np.array([x])):
+                with pytest.raises(type(err), match=re.escape(str(err))):
+                    vnn_eval(table, arg)
             continue
-        assert g == want, (label, x)
+        assert np.float64(g).tobytes() == np.float64(want).tobytes(), (label, x)
         assert vnn_eval(table, x) == want, (label, x)
-    assert undefined >= len(table.poles) + 1   # every pole and E + 1 at least
+    defined = ~np.isnan(got)
+    assert vnn_eval(table, xs[defined]).tobytes() == got[defined].tobytes()
+    # an array call raises what its first undefined energy raises
+    with pytest.raises(type(errors[0]), match=re.escape(str(errors[0]))):
+        vnn_eval(table, xs)
+    exact = table.spatial and table.mode == "exact"
+    assert len(errors) >= len(table.poles) + exact   # every pole, and E + 1 if exact
 
 
 @pytest.mark.parametrize("f,a,b", [
@@ -228,11 +259,35 @@ def test_bisect_exits_match_scalar(f, a, b):
     assert got.tolist() == [want, want]
 
 
+def test_scan_cuts_at_unlisted_plus_branch_singularity():
+    # one cos(alpha) = -1 harmonic, n' = 4 level with 0 <= E - eps0' < eps_p:
+    # its denominator also vanishes at the plus branch of exact_pole_pair,
+    # which no table pole lists; the root just below it must not be missed
+    bump = {"kind": "gaussian", "height": 0.5, "center": 1.2, "width": 0.6}
+    cfg = spatial_config([{"index": -1, "amplitude": bump}], energy=8.3, period=6.5,
+                         n_prime=4, denominator="exact")
+    spec = build_spec(cfg)
+    bases = build_bases(spec)
+    table = build_pole_weight_table(spec, bases, 1)
+    eps0 = float(bases.base.eigenvalues[0])
+    m = table.member_columns
+    hidden = exact_pole_pair(float(m.eps0_aux[-1]), float(m.eps_p[-1]), 8.3)[0]
+    assert hidden not in table.poles and hidden < 8.3
+
+    roots = find_roots_exact(table, eps0)
+    assert len(roots) == 6
+    near = roots[-1]
+    assert hidden - 1e-3 < near < hidden
+    # an independent sign change of the relation on both sides of the root
+    f = [reference_vnn(table, x) - x + eps0 for x in (near - 1e-9, near + 1e-9)]
+    assert f[0] < 0.0 < f[1]
+
+
 def test_vanishing_denominator_is_nan_and_named_error():
     # eps_p = 0 leaves d = eps - eps0': zero at eps = 1.0, far from both poles
     table = synthetic([PoleMember(1, 1, 0.2, -3.0, 0.5, 1.0),
                        PoleMember(3, 2, 0.1, 1.0, 0.0, 1.0)], [-2.0, 5.0], 10.0)
-    assert math.isnan(_exact_vnn(table, np.array([1.0]))[0])
+    assert math.isnan(_vnn(table, np.array([1.0]))[0])
     with pytest.raises(PoleProximityError,
                        match=r"exact denominator vanished at epsilon 1\.0 "
                              r"\(channel 3, n'=2\)"):
