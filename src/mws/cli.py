@@ -123,10 +123,10 @@ def _spectrum_outputs(spec: SystemSpec, out_dir: Path):
 
     rows = []
     for st in result.states:
-        for entry in st.table.entries:
-            for m in entry.members:
-                rows.append([str(st.n), str(m.channel), str(m.n_prime),
-                             entry.pole, m.weight])
+        m = st.table.members
+        poles = np.repeat(st.table.poles, np.diff(st.table.starts))   # each member's entry
+        rows += [[str(st.n), str(g), str(k), p, w] for g, k, p, w in
+                 zip(m.channel.tolist(), m.n_prime.tolist(), poles.tolist(), m.weight.tolist())]
     _write_csv(out_dir / "poles.csv",
                ["n", "g_or_k", "n_prime", "pole", "weight"], rows)
 
@@ -223,9 +223,9 @@ def cmd_figure1(spec: SystemSpec, out_dir: Path, args) -> list[str]:
     for n, table in enumerate(build_pole_weight_tables(spec, bases), start=1):
         eps0 = float(bases.base.eigenvalues[n - 1])
         poles = table.poles
-        for entry in table.entries:
-            for m in entry.members:
-                asym_rows.append([str(n), entry.pole, str(m.channel), str(m.n_prime)])
+        asym_rows += [[str(n), p, str(g), str(k)] for p, g, k in
+                      zip(np.repeat(poles, np.diff(table.starts)).tolist(),
+                          table.members.channel.tolist(), table.members.n_prime.tolist())]
         for j, r in enumerate(find_roots_exact(table, eps0), start=1):
             root_rows.append([str(n), str(j), r])
 
@@ -236,8 +236,7 @@ def cmd_figure1(spec: SystemSpec, out_dir: Path, args) -> list[str]:
         elif len(poles) == 0:
             segments = [(eps0 - 1.0, eps0 + 1.0, 2.0)]
         else:
-            spread = float(poles[-1] - poles[0]) if len(poles) > 1 else 1.0
-            margin = max(spread, 1.0)
+            margin = max(float(poles[-1] - poles[0]), 1.0)
             edges = [poles[0] - margin] + list(poles) + [poles[-1] + margin]
             segments = [(a, b, b - a) for a, b in zip(edges[:-1], edges[1:])]
         xs = np.concatenate([np.linspace(a + 1e-4 * gap, b - 1e-4 * gap, per_interval)
@@ -315,8 +314,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="override modes.denominator")
     shared.add_argument("--backend", choices=["unperturbed", "v1"],
                         help="override modes.basis")
-    shared.add_argument("--samples", type=int, default=None,
-                        help="sampling density (per-subcommand meaning)")
     shared.add_argument("--jobs", type=int, default=None,
                         help="ignored; accepted for compatibility")
 
@@ -342,9 +339,11 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="1-based realisation index (default 1)")
     r.add_argument("--allow-evanescent", action="store_true",
                    help="assemble evanescent states with imaginary wavenumber")
+    r.add_argument("--samples", type=int, help="points along the second axis (default 65)")
     sub.add_parser("verify", parents=[shared], help="run all oracles")
-    sub.add_parser("figure1", parents=[shared],
-                   help="graphical-solution data: curves, asymptotes, intersections")
+    f = sub.add_parser("figure1", parents=[shared],
+                       help="graphical-solution data: curves, asymptotes, intersections")
+    f.add_argument("--samples", type=int, help="curve points per pole interval (default 200)")
     s = sub.add_parser("sweep", parents=[shared], help="spectrum across a parameter")
     s.add_argument("--param", help="dotted config path, e.g. perturbation.scale")
     s.add_argument("--values", help="comma-separated numeric values")

@@ -10,10 +10,9 @@ each divided by the term's denominator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
-from types import SimpleNamespace
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -67,6 +66,17 @@ class PoleMember:
     cos_alpha: float
 
 
+class Members(NamedTuple):
+    """PoleMember's fields as arrays, one element per member in table order."""
+
+    channel: np.ndarray
+    n_prime: np.ndarray
+    weight: np.ndarray
+    eps0_aux: np.ndarray
+    eps_p: np.ndarray
+    cos_alpha: np.ndarray
+
+
 @dataclass(frozen=True)
 class PoleEntry:
     pole: float
@@ -80,37 +90,50 @@ class PoleEntry:
 
 @dataclass(frozen=True, eq=False)
 class PoleWeightTable:
-    """Poles and weights defining V_nn(eps) for one base state."""
+    """Poles and weights defining V_nn(eps) for one base state; arrays read-only."""
 
     base_state: int                    # n, 1-based
-    entries: tuple[PoleEntry, ...]     # sorted ascending by pole
+    poles: np.ndarray                  # ascending, one per merged entry
+    weights: np.ndarray                # sum of each entry's member weights
+    starts: np.ndarray                 # entry i holds members starts[i]:starts[i+1]
+    members: Members
     merge_tol: float
     mode: str                          # "approx" | "exact"
     total_energy: float
     spatial: bool
-    poles: np.ndarray = field(init=False, repr=False)    # read-only, from entries
-    weights: np.ndarray = field(init=False, repr=False)  # read-only, from entries
 
     def __post_init__(self) -> None:
-        # built once: V_nn evaluation reads both on every call
-        for name, values in (("poles", [e.pole for e in self.entries]),
-                             ("weights", [e.weight for e in self.entries])):
-            arr = np.array(values)
+        for arr in (self.poles, self.weights, self.starts, *self.members):
             arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
 
     @cached_property
-    def member_columns(self) -> SimpleNamespace:
-        """channel, n_prime, weight, eps0_aux, eps_p and cos_alpha of every
-        member, as arrays in table order (the exact-mode denominators' inputs)."""
-        members = [m for e in self.entries for m in e.members]
-        names = ("channel", "n_prime", "weight", "eps0_aux", "eps_p", "cos_alpha")
-        return SimpleNamespace(**{name: np.array([getattr(m, name) for m in members])
-                                  for name in names})
+    def entries(self) -> tuple[PoleEntry, ...]:
+        """The table as PoleEntry objects, ascending by pole; built on first read."""
+        rows = [PoleMember(*row) for row in zip(*(col.tolist() for col in self.members))]
+        s = self.starts.tolist()
+        return tuple(PoleEntry(p, w, tuple(rows[a:b])) for p, w, a, b in
+                     zip(self.poles.tolist(), self.weights.tolist(), s, s[1:]))
 
     def proximity_tol(self) -> float:
         # merge_tol with a unit floor, for "too close to a pole" checks
         return max(self.merge_tol, 1e-9)
+
+
+def merge_poles(sorted_poles: np.ndarray,
+                weights: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """(merge_tol, starts, entry_weights): entry i holds poles starts[i]:starts[i+1],
+    each within merge_tol = 1e-9 * spread of its first pole, and its weight is
+    theirs added left to right."""
+    poles = sorted_poles.tolist()
+    merge_tol = 1e-9 * (poles[-1] - poles[0]) if len(poles) > 1 else 0.0
+    starts, sums = [], []
+    for i, (p, w) in enumerate(zip(poles, weights.tolist())):
+        if starts and p - poles[starts[-1]] <= merge_tol:
+            sums[-1] += w
+        else:
+            starts.append(i)
+            sums.append(w)
+    return merge_tol, np.array(starts + [len(poles)]), np.array(sums)
 
 
 def pole_position(spec: SystemSpec, channel: ChannelEnergy, eps0_aux: float,
@@ -283,39 +306,26 @@ def build_pole_weight_table(spec: SystemSpec, bases: ChannelBases, n: int) -> Po
 def _build_tables(spec: SystemSpec, bases: ChannelBases, ns) -> list[PoleWeightTable]:
     """Tables of the base states ns; each one's weights, poles and errors
     are those of its own terms. The (pole, channel, n') order is computed
-    once for all states.
-    """
+    once for all states; the error terms' NaN poles sort last."""
     terms = channel_terms(spec, bases)
-    poles = terms.poles.tolist()
-    rows = list(zip(terms.channel.tolist(), terms.n_prime.tolist(), terms.eps0_aux.tolist(),
-                    terms.eps_p.tolist(), terms.cos_alpha.tolist()))
-    order = sorted((i for i in range(len(rows)) if i not in terms.errors),
-                   key=lambda i: (poles[i], rows[i][:2]))
+    order = np.lexsort((terms.n_prime, terms.channel, terms.poles))
 
     tables = []
     for n in ns:
-        weights = [abs(z) ** 2 for z in terms.retained_couplings[:, n - 1].tolist()]
+        weights = np.array([abs(z) ** 2 for z in terms.retained_couplings[:, n - 1].tolist()])
         for i, exc in terms.errors.items():
             if weights[i] != 0.0:
                 raise exc
-        kept = [i for i in order if weights[i] != 0.0]
-        spread = poles[kept[-1]] - poles[kept[0]] if len(kept) > 1 else 0.0
-        merge_tol = 1e-9 * spread
-
-        entries: list[PoleEntry] = []
-        for i in kept:
-            p = poles[i]
-            channel, n_prime, eps0_aux, eps_p, cos_alpha = rows[i]
-            member = PoleMember(channel, n_prime, weights[i], eps0_aux, eps_p, cos_alpha)
-            if entries and p - entries[-1].pole <= merge_tol:
-                prev = entries[-1]
-                entries[-1] = PoleEntry(prev.pole, prev.weight + member.weight,
-                                        prev.members + (member,))
-            else:
-                entries.append(PoleEntry(p, member.weight, (member,)))
+        kept = order[weights[order] != 0.0]
+        members = Members(terms.channel[kept], terms.n_prime[kept], weights[kept],
+                          terms.eps0_aux[kept], terms.eps_p[kept], terms.cos_alpha[kept])
+        merge_tol, starts, entry_weights = merge_poles(terms.poles[kept], members.weight)
         tables.append(PoleWeightTable(
             base_state=n,
-            entries=tuple(entries),
+            poles=terms.poles[kept[starts[:-1]]],   # each entry's first member
+            weights=entry_weights,
+            starts=starts,
+            members=members,
             merge_tol=merge_tol,
             mode=spec.denominator_mode,
             total_energy=spec.total_energy,
@@ -354,7 +364,7 @@ def _raise_undefined(table: PoleWeightTable, epsilon: float) -> None:
     e = table.total_energy
     if epsilon > e:
         raise SolverError(f"exact mode requires epsilon <= E, got {epsilon!r} > {e!r}")
-    m = table.member_columns
+    m = table.members
     zero = np.flatnonzero(_exact_denominator(m, epsilon, e - epsilon) == 0.0)
     if len(zero):
         raise PoleProximityError(
@@ -363,7 +373,7 @@ def _raise_undefined(table: PoleWeightTable, epsilon: float) -> None:
         )
 
 
-def _exact_denominator(m: SimpleNamespace | ChannelTerms, eps, room):
+def _exact_denominator(m: Members | ChannelTerms, eps, room):
     """eps - eps0' - eps_p - 2 cos(alpha) sqrt((E - eps) eps_p), room = E - eps;
     as arrays, of every channel term or table member."""
     return eps - m.eps0_aux - m.eps_p - 2.0 * m.cos_alpha * np.sqrt(room * m.eps_p)
@@ -383,7 +393,7 @@ def _vnn(table: PoleWeightTable, eps: np.ndarray) -> np.ndarray:
     denominator vanishes are NaN. A zero denominator needs no mask: its
     infinite term turns the compensation into inf - inf.
     """
-    if not table.entries:
+    if not len(table.poles):
         return np.zeros(len(eps))
     poles = table.poles
     right = np.minimum(np.searchsorted(poles, eps), len(poles) - 1)
@@ -393,7 +403,7 @@ def _vnn(table: PoleWeightTable, eps: np.ndarray) -> np.ndarray:
     exact = table.spatial and table.mode == "exact"
     if exact:
         undefined |= eps > table.total_energy
-        m = table.member_columns
+        m = table.members
     out = np.empty(len(eps))
     for start in range(0, len(eps), _VNN_CHUNK):
         e = eps[start:start + _VNN_CHUNK]

@@ -216,25 +216,16 @@ def coupled_matrix_diagonalization(spec: SystemSpec) -> CoupledMatrix:
     w[0] = w[-1] = 0.5 * h
 
     amps = {harm.index: harm.amplitude for harm in spec.harmonics}
-    labels: list[tuple[int, int]] = [(0, n) for n in range(1, spec.n_base + 1)]
-    for harm in spec.harmonics:
-        labels.extend((harm.index, i) for i in range(1, spec.n_prime + 1))
-    dim = len(labels)
-
-    def element(amp: np.ndarray, i: int, j: int) -> complex:
-        return complex(np.sum(w * funcs[i - 1] * amp * funcs[j - 1]))
-
-    m = np.zeros((dim, dim), dtype=complex)
-    for a, (ch_a, st_a) in enumerate(labels):
-        for b, (ch_b, st_b) in enumerate(labels):
-            if a == b:
-                m[a, b] = vals[st_a - 1] + (_channel_offset(spec, ch_a) if ch_a else 0.0)
-            elif ch_a == ch_b:
-                m[a, b] = 0.0
-            else:
-                diff = ch_a - ch_b
-                if diff in amps:
-                    m[a, b] = element(amps[diff], st_a, st_b)
+    blocks = [(0, spec.n_base)] + [(harm.index, spec.n_prime) for harm in spec.harmonics]
+    labels = [(ch, i) for ch, size in blocks for i in range(1, size + 1)]
+    offsets = np.cumsum([0] + [size for _, size in blocks]).tolist()
+    m = np.diag([vals[i - 1] + (_channel_offset(spec, ch) if ch else 0.0)
+                 for ch, i in labels]).astype(complex)
+    for (ch_a, n_a), a in zip(blocks, offsets):
+        for (ch_b, n_b), b in zip(blocks, offsets):
+            if ch_a != ch_b and ch_a - ch_b in amps:
+                terms = (w * funcs[:n_a])[:, None, :] * amps[ch_a - ch_b] * funcs[:n_b][None]
+                m[a:a + n_a, b:b + n_b] = np.sum(terms, axis=-1)
 
     herm_defect = float(np.max(np.abs(m - m.conj().T)))
     scale = max(1.0, float(np.max(np.abs(m))))

@@ -14,7 +14,7 @@ import numpy as np
 
 from mws import _kernels
 from mws.effpot import ChannelBases, PoleWeightTable, _vnn, apply_effective_potential, \
-    build_bases, build_pole_weight_tables, exact_pole_pair
+    build_bases, build_pole_weight_tables, exact_pole_pair, merge_poles
 from mws.eigenbasis import EigenBasis, apply_kinetic, matrix_element, \
     solve_base_eigenproblem
 from mws.errors import SolverError, UnsupportedModeError
@@ -126,14 +126,13 @@ def exact_scan_edges(table: PoleWeightTable, epsilon0: float) -> list[float]:
     `exact_pole_pair`, which its table pole does not list.
     """
     e = table.total_energy
-    m = table.member_columns
+    m = table.members
     plus = [exact_pole_pair(level, eps_p, e)[0] for level, eps_p, cos_alpha in
             zip(m.eps0_aux.tolist(), m.eps_p.tolist(), m.cos_alpha.tolist())
             if cos_alpha == -1.0 and 0.0 <= e - level < eps_p]
     poles = [p for p in np.unique(np.concatenate([table.poles, plus])).tolist() if p < e]
     if poles:
-        spread = poles[-1] - poles[0] if len(poles) > 1 else 0.0
-        lo = min(poles[0], epsilon0) - (spread + 1.0)
+        lo = min(poles[0], epsilon0) - (poles[-1] - poles[0] + 1.0)
     else:
         lo = epsilon0 - 1.0
     hi = e
@@ -421,18 +420,8 @@ def appendix_auxiliary_roots(spec: SystemSpec, base0: EigenBasis, k: int,
             raw.append((float(base0.eigenvalues[n_prime - 1]) - omega * k, w))
     raw.sort()
     poles = np.array([p for p, _ in raw])
-    weights = np.array([w for _, w in raw])
-    if len(poles) > 1:
-        merge_tol = 1e-9 * (poles[-1] - poles[0])
-        keep_p, keep_w = [poles[0]], [weights[0]]
-        for p, w in zip(poles[1:], weights[1:]):
-            if p - keep_p[-1] <= merge_tol:
-                keep_w[-1] += w
-            else:
-                keep_p.append(p)
-                keep_w.append(w)
-        poles = np.array(keep_p)
-        weights = np.array(keep_w)
+    _, starts, weights = merge_poles(poles, np.array([w for _, w in raw]))
+    poles = poles[starts[:-1]]
     eps0 = float(base0.eigenvalues[n - 1])
     rs = _solve_rational([(poles, weights, eps0)])[0]
     return AppendixRoots(k=k, n=n, poles=poles, weights=weights, rootset=rs)

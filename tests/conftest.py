@@ -1,8 +1,11 @@
 """Shared config builders for the test suite.
 
 The builders return plain config dicts so individual tests can tweak keys
-before calling build_spec. Numeric choices keep every secular weight well
-above the residual-certificate floor.
+before calling build_spec. The harmonics of `fig_anchor_harmonics` and
+`weak_harmonics` sit off the box centre, so every coupling they make is
+well above its rounding floor. `centred_harmonics` is the parity-symmetric
+drive: it forbids every coupling between states of opposite parity, and
+those couplings come out of the quadrature as exact zeros or rounding noise.
 """
 
 import numpy as np
@@ -78,6 +81,11 @@ def weak_harmonics():
         {"index": 2, "amplitude": gaussian(0.6, 0.57, 0.17)},
         {"index": -2, "amplitude": gaussian(0.6, 0.57, 0.17)},
     ]
+
+
+def centred_harmonics():
+    """Harmonics +-1, +-2, each the same gaussian centred in the box."""
+    return [{"index": k, "amplitude": gaussian(0.5, 0.5, 0.2)} for k in (1, -1, 2, -2)]
 
 
 @pytest.fixture(scope="session")

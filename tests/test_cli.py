@@ -11,8 +11,8 @@ import pytest
 from conftest import fig_anchor_harmonics, gaussian, spatial_config, \
     temporal_config, weak_harmonics
 from mws.cli import _write_csv, main
-from mws.effpot import build_bases, build_pole_weight_table, build_pole_weight_tables, \
-    vnn_eval
+from mws.effpot import PoleWeightTable, build_bases, build_pole_weight_table, \
+    build_pole_weight_tables, vnn_eval
 from mws.model import build_spec
 from mws.spectra import exact_scan_edges, find_roots_exact
 
@@ -130,16 +130,34 @@ def test_missing_config_file_is_io_error(tmp_path, capsys):
     assert err["exit_code"] == 4
 
 
+@pytest.mark.filterwarnings("ignore:total energy does not dominate")
 def test_solver_failure_exit_code(tmp_path, capsys):
-    # centered bump: parity-suppressed couplings leave sub-floor weights
-    cfg = temporal_config([
-        {"index": 1, "amplitude": gaussian(0.3, 0.5, 0.2)},
-        {"index": -1, "amplitude": gaussian(0.3, 0.5, 0.2)},
-    ], n_base=1, n_prime=2)
+    # E < 0 puts the approximate spatial poles' square roots out of reach
+    cfg = spatial_config(fig_anchor_harmonics(), energy=-1.0)
     cfg_path = write_config(tmp_path, cfg)
     assert run(["spectrum", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 3
     err = json.loads(capsys.readouterr().err.strip())
     assert err["exit_code"] == 3
+
+
+@pytest.mark.parametrize("sub", (["spectrum"], ["basis"], ["verify"],
+                                 ["kernel", "--epsilon", "-30"],
+                                 ["sweep", "--param", "perturbation.scale", "--values", "1"]))
+def test_samples_rejected_where_unread(tmp_path, sub):
+    cfg_path = write_config(tmp_path, temporal_config(weak_harmonics()))
+    with pytest.raises(SystemExit) as exc:
+        run(sub + ["--config", cfg_path, "--out", str(tmp_path / "o"), "--samples", "9"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("sub", ("spectrum", "figure1"))
+def test_table_writers_read_arrays_not_entries(tmp_path, monkeypatch, sub):
+    def unbuilt(table):
+        raise AssertionError("entries built")
+
+    monkeypatch.setattr(PoleWeightTable, "entries", property(unbuilt))
+    cfg_path = write_config(tmp_path, spatial_config(fig_anchor_harmonics()))
+    assert run([sub, "--config", cfg_path, "--out", str(tmp_path / "o")]) == 0
 
 
 def test_kernel_requires_epsilon(tmp_path):

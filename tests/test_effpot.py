@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 import mws.effpot as effpot
-from conftest import fig_anchor_harmonics, gaussian, spatial_config, temporal_config
+from conftest import centred_harmonics, fig_anchor_harmonics, gaussian, spatial_config, \
+    temporal_config
 from mws.effpot import (
     ChannelBases,
     PoleEntry,
@@ -22,6 +23,7 @@ from mws.effpot import (
     ep_kernel_matrix,
     exact_pole_general,
     exact_pole_pair,
+    merge_poles,
     pole_position,
     series_ep_kernel,
     vnn_eval,
@@ -267,6 +269,49 @@ def test_tables_exact_level_above_energy_same_error():
         assert type(got.value) is type(want.value)
         assert str(got.value) == str(want.value)
         assert "exact pole needs E >= eps0" in str(got.value)
+
+
+def test_merge_poles_joins_within_tol_of_the_entry_first_pole():
+    # merge_tol = 1e-9 * 1e9 = 1: b - a <= 1 and c - b <= 1, but c - a > 1
+    merge_tol, starts, weights = merge_poles(np.array([0.0, 0.6, 1.2, 1e9]),
+                                             np.array([1.0, 2.0, 4.0, 8.0]))
+    assert merge_tol == 1.0
+    assert starts.tolist() == [0, 2, 3, 4]
+    assert weights.tolist() == [3.0, 4.0, 8.0]
+
+
+def test_merge_poles_sums_a_group_left_to_right():
+    # (1 + 1e-16) + 1e-16 rounds to 1 twice; adding the tail first would give
+    # 1 + 2e-16, which rounds to the next float above 1
+    _, starts, weights = merge_poles(np.array([0.0, 0.0, 0.0, 1.0]),
+                                     np.array([1.0, 1e-16, 1e-16, 0.5]))
+    assert starts.tolist() == [0, 3, 4]
+    assert weights.tolist() == [1.0, 0.5]
+
+
+@pytest.mark.parametrize("config", (temporal_config, spatial_config))
+def test_sub_floor_noise_coupling_deflates_like_exact_zero(config, monkeypatch):
+    # parity forbids every coupling with n' + n odd; the table built from the
+    # quadrature equals the one built with those couplings set to exact zeros
+    spec = build_spec(config(centred_harmonics(), n_base=4, n_prime=4))
+    bases = build_bases(spec)
+    tables = build_pole_weight_tables(spec, bases)
+    noise = []
+
+    def parity_zeroed(bra, ket, amplitude, n_prime, n):
+        raw = np.sum((bra.quad_weights * np.conjugate(bra.eigenfunctions[:n_prime]))
+                     [:, None, :] * amplitude * ket.eigenfunctions[:n][None], axis=-1)
+        odd = np.add.outer(np.arange(n_prime), np.arange(n)) % 2 == 1
+        noise.append(np.any(raw[odd] != 0.0))
+        return np.where(odd, 0.0, raw)
+
+    monkeypatch.setattr(effpot, "matrix_element_block", parity_zeroed)
+    for got, want in zip(tables, build_pole_weight_tables(spec, bases)):
+        for name in ("poles", "weights", "starts"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        assert repr(got.merge_tol) == repr(want.merge_tol)
+        assert repr(got.entries) == repr(want.entries)
+    assert any(noise)   # some forbidden coupling is rounding noise, not 0.0
 
 
 def test_vnn_single_entry_arithmetic():

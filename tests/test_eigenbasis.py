@@ -9,13 +9,14 @@ import numpy as np
 import pytest
 
 import mws.eigenbasis as eigenbasis
-from conftest import L, gaussian, spatial_config, temporal_config
+from conftest import L, centred_harmonics, gaussian, spatial_config, temporal_config
 from mws.effpot import build_bases
 from mws.eigenbasis import (
     apply_h0,
     apply_kinetic,
     green_function,
     matrix_element,
+    matrix_element_block,
     solve_base_eigenproblem,
     solve_v1_eigenproblem,
     v1_potential,
@@ -139,6 +140,29 @@ def test_matrix_element_cosine_selection_rule():
         elem = matrix_element(basis, basis, amp, n_prime, n)
         assert elem.real == pytest.approx(want, abs=2e-5)
         assert elem.imag == pytest.approx(0.0, abs=1e-12)
+
+
+def test_matrix_element_zero_within_rounding_floor():
+    # a centred bump forbids n' + n odd; above the floor a coupling is the raw sum
+    spec = build_spec(temporal_config(centred_harmonics(), n_base=6, n_prime=6))
+    basis = solve_base_eigenproblem(spec, n_states=6)
+    amp = spec.harmonics[0].amplitude
+    block = matrix_element_block(basis, basis, amp, 6, 6)
+    noise = 0
+    for n_prime in range(1, 7):
+        for n in range(1, 7):
+            terms = basis.quad_weights * basis.eigenfunctions[n_prime - 1] * amp \
+                * basis.eigenfunctions[n - 1]
+            raw = complex(np.sum(terms))
+            elem = matrix_element(basis, basis, amp, n_prime, n)
+            assert complex(block[n_prime - 1, n - 1]) == elem
+            if (n_prime + n) % 2:
+                assert elem == 0.0
+                assert abs(raw) <= len(terms) * 2.0 ** -53 * np.sum(np.abs(terms))
+                noise += raw != 0.0
+            else:
+                assert elem == raw != 0.0
+    assert noise   # the rule, not the quadrature, made those couplings 0
 
 
 def test_matrix_element_index_checks():

@@ -8,13 +8,14 @@ NaN where the scalar raises, in exact and approx mode alike.
 
 import math
 import re
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
 from conftest import fig_anchor_harmonics, gaussian, spatial_config, temporal_config, \
     weak_harmonics
-from mws.effpot import PoleEntry, PoleMember, PoleWeightTable, _vnn, build_bases, \
+from mws.effpot import Members, PoleMember, PoleWeightTable, _vnn, build_bases, \
     build_pole_weight_table, exact_pole_general, exact_pole_pair, vnn_eval
 from mws.errors import PoleProximityError, SolverError
 from mws.model import build_spec
@@ -154,10 +155,12 @@ def spec_tables():
 
 def synthetic(members, poles, energy):
     """Exact table from explicit members; entry i holds member i at poles[i]."""
-    entries = tuple(PoleEntry(p, m.weight, (m,)) for p, m in zip(poles, members))
+    columns = Members(*map(np.array, zip(*map(astuple, members))))
     spread = poles[-1] - poles[0] if len(poles) > 1 else 0.0
-    return PoleWeightTable(base_state=1, entries=entries, merge_tol=1e-9 * spread,
-                           mode="exact", total_energy=energy, spatial=True)
+    return PoleWeightTable(base_state=1, poles=np.array(poles), weights=columns.weight.copy(),
+                           starts=np.arange(len(poles) + 1), members=columns,
+                           merge_tol=1e-9 * spread, mode="exact", total_energy=energy,
+                           spatial=True)
 
 
 def synthetic_tables():
@@ -270,7 +273,7 @@ def test_scan_cuts_at_unlisted_plus_branch_singularity():
     bases = build_bases(spec)
     table = build_pole_weight_table(spec, bases, 1)
     eps0 = float(bases.base.eigenvalues[0])
-    m = table.member_columns
+    m = table.members
     hidden = exact_pole_pair(float(m.eps0_aux[-1]), float(m.eps_p[-1]), 8.3)[0]
     assert hidden not in table.poles and hidden < 8.3
 
@@ -311,7 +314,8 @@ def test_table_arrays_built_once_read_only(anchor_spatial_spec, anchor_spatial_b
     assert table.weights is table.weights
     assert np.array_equal(table.poles, [e.pole for e in table.entries])
     assert np.array_equal(table.weights, [e.weight for e in table.entries])
-    with pytest.raises(ValueError):
-        table.poles[0] = 0.0
-    with pytest.raises(ValueError):
-        table.weights[0] = 0.0
+    for arr in (table.poles, table.weights, table.starts, *table.members):
+        with pytest.raises(ValueError):
+            arr[0] = 0
+    with pytest.raises(AttributeError):
+        table.members.weight = table.members.weight.copy()

@@ -1,13 +1,17 @@
 """Root structure, counting laws, realisation grouping, appendix diagnostics."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import gaussian, spatial_config, temporal_config, weak_harmonics
-from mws.effpot import PoleEntry, PoleMember, PoleWeightTable, build_bases, \
-    build_pole_weight_table
+import mws.spectra as spectra
+from conftest import centred_harmonics, gaussian, spatial_config, temporal_config, \
+    weak_harmonics
+from mws.effpot import Members, PoleWeightTable, build_bases, build_pole_weight_table, \
+    merge_poles
 from mws.errors import BracketError, SolverError, UnsupportedModeError
 from mws.model import build_spec, scale_amplitudes
 from mws.spectra import (
@@ -31,15 +35,16 @@ from mws.spectra import (
 
 
 def synthetic_table(poles, weights, *, mode="approx", spatial=False, energy=0.0):
-    poles = np.asarray(poles, dtype=float)
-    weights = np.asarray(weights, dtype=float)
-    entries = tuple(
-        PoleEntry(float(p), float(w), (PoleMember(1, i + 1, float(w), 0.0, 0.0, 1.0),))
-        for i, (p, w) in enumerate(zip(poles, weights))
-    )
+    poles = np.array(poles, dtype=float)
+    weights = np.array(weights, dtype=float)
+    size = len(poles)
+    members = Members(np.ones(size, dtype=int), np.arange(1, size + 1), weights.copy(),
+                      np.zeros(size), np.zeros(size), np.ones(size))
     spread = float(poles[-1] - poles[0]) if len(poles) > 1 else 0.0
-    return PoleWeightTable(base_state=1, entries=entries, merge_tol=1e-9 * spread,
-                           mode=mode, total_energy=energy, spatial=spatial)
+    return PoleWeightTable(base_state=1, poles=poles, weights=weights,
+                           starts=np.arange(size + 1), members=members,
+                           merge_tol=1e-9 * spread, mode=mode, total_energy=energy,
+                           spatial=spatial)
 
 
 def pair(height=0.3):
@@ -201,6 +206,20 @@ def test_zero_perturbation_reduction():
         assert abs(st_.roots[0] - eps0) <= 1e-12
 
 
+@pytest.mark.parametrize("n_prime", (1, 2, 4))
+@pytest.mark.parametrize("n_base", (1, 2, 4))
+@pytest.mark.parametrize("config", (temporal_config, spatial_config))
+def test_centred_drive_solves(config, n_base, n_prime):
+    # parity-forbidden couplings are rounding noise or 0.0; both deflate, so
+    # no root hugs a pole of noise weight that no float can bracket
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)   # deficit of deflated poles
+        result = solve_spectrum(build_spec(config(centred_harmonics(), n_base=n_base,
+                                                  n_prime=n_prime)))
+    assert len(result.states) == n_base
+    assert all("entries" not in st_.table.__dict__ for st_ in result.states)
+
+
 def test_spectrum_state_order_and_eps0(weak_temporal_spec, weak_temporal_bases):
     result = solve_spectrum(weak_temporal_spec)
     assert [st_.n for st_ in result.states] == [1, 2]
@@ -357,6 +376,24 @@ def test_appendix_weights_sum_other_channels(weak_temporal_spec, weak_temporal_b
             for h in spec.harmonics if h.index != 2
         )
         assert w == pytest.approx(manual, rel=1e-12)
+
+
+def test_appendix_merges_through_merge_poles(weak_temporal_spec, weak_temporal_bases,
+                                            monkeypatch):
+    calls = []
+
+    def spy(poles, weights):
+        calls.append(poles.tolist())
+        out = merge_poles(poles, weights)
+        calls.append(out)
+        return out
+
+    monkeypatch.setattr(spectra, "merge_poles", spy)
+    ar = appendix_auxiliary_roots(weak_temporal_spec, weak_temporal_bases.base, 1, 1)
+    poles, (_, starts, weights) = calls
+    assert poles == sorted(poles)
+    assert ar.poles.tolist() == [poles[i] for i in starts[:-1].tolist()]
+    assert ar.weights is weights
 
 
 def test_appendix_rejects_spatial_and_unknown(anchor_spatial_spec,
