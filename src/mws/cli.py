@@ -18,15 +18,14 @@ from pathlib import Path
 import numpy as np
 
 from mws import __version__
-from mws.effpot import build_bases, build_pole_weight_tables, ep_kernel_matrix, \
-    vnn_eval
+from mws.effpot import build_bases, ep_kernel_matrix, vnn_eval
 from mws.errors import ConfigError, MwsError, SolverError
 from mws.model import SystemSpec, build_spec
 from mws.oracle import coupled_matrix_diagonalization, run_all_oracles, \
     subset_recovery_distance
 from mws.reconstruct import assemble_wavefunction
-from mws.spectra import exact_scan_edges, find_roots_exact, group_realisations, \
-    realisation_separation, solve_spectrum
+from mws.spectra import exact_scan_edges, group_realisations, realisation_separation, \
+    solve_spectrum
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -189,7 +188,7 @@ def cmd_reconstruct(spec: SystemSpec, out_dir: Path, args) -> list[str]:
     roots_by_n: dict[int, float] = {}
     for m in match[0].members:
         roots_by_n.setdefault(m.n, m.value)  # lowest root per base state
-    n_second = args.samples if args.samples else 65
+    n_second = 65 if args.samples is None else args.samples
     field = assemble_wavefunction(spec, result.bases, roots_by_n, n_second=n_second,
                                   allow_evanescent=args.allow_evanescent)
 
@@ -214,19 +213,18 @@ def cmd_verify(spec: SystemSpec, out_dir: Path, args) -> list[str]:
 def cmd_figure1(spec: SystemSpec, out_dir: Path, args) -> list[str]:
     if spec.n_base != 1:
         warnings.warn("the graphical dump is designed for a single base state")
-    bases = build_bases(spec)
-    per_interval = args.samples if args.samples else 200
+    per_interval = 200 if args.samples is None else args.samples
 
     curve_rows = []
     asym_rows = []
     root_rows = []
-    for n, table in enumerate(build_pole_weight_tables(spec, bases), start=1):
-        eps0 = float(bases.base.eigenvalues[n - 1])
+    for st in solve_spectrum(spec).states:
+        n, eps0, table = st.n, st.epsilon0, st.table
         poles = table.poles
         asym_rows += [[str(n), p, str(g), str(k)] for p, g, k in
                       zip(np.repeat(poles, np.diff(table.starts)).tolist(),
                           table.members.channel.tolist(), table.members.n_prime.tolist())]
-        for j, r in enumerate(find_roots_exact(table, eps0), start=1):
+        for j, r in enumerate(st.roots, start=1):
             root_rows.append([str(n), str(j), r])
 
         if table.spatial and table.mode == "exact":
@@ -354,6 +352,8 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     started = time.perf_counter()
     try:
+        if getattr(args, "samples", None) is not None and args.samples < 1:
+            raise ConfigError(f"--samples must be >= 1, got {args.samples}")
         doc, digest = _load_config(args.config)
         doc = _apply_overrides(doc, args)
         out_dir = Path(args.out)

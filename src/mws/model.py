@@ -25,7 +25,6 @@ class SpatialPeriodic:
     """Perturbation periodic in a second spatial coordinate."""
 
     period: float            # d_p
-    bloch_wavenumber: float  # K_p
 
 
 @dataclass(frozen=True)
@@ -118,7 +117,6 @@ class ChannelEnergy:
     """Kinetic bookkeeping for one perturbation channel."""
 
     index: int
-    epsilon_s_channel: float  # E - (K_p+g_p)^2/2 spatial; E - omega_p*k temporal
     epsilon_p: float          # g_p^2/2 spatial; 0 temporal
     cos_alpha: float          # sign of the channel index (+1 or -1)
     wavenumber: float         # g_p = 2*pi*g/d_p spatial; omega_p*k temporal
@@ -219,8 +217,10 @@ def build_spec(raw: Mapping[str, Any]) -> SystemSpec:
         d_p = float(_require(pert, "period", "perturbation"))
         if not (d_p > 0):
             raise ConfigError("perturbation.period must be > 0")
-        k_p = float(pert.get("bloch_wavenumber", 0.0))
-        perturbation: SpatialPeriodic | TimePeriodic = SpatialPeriodic(d_p, k_p)
+        if float(pert.get("bloch_wavenumber", 0.0)) != 0.0:
+            raise ConfigError("perturbation.bloch_wavenumber must be 0: the reconstructed "
+                              "field takes its wavenumber from each root")
+        perturbation: SpatialPeriodic | TimePeriodic = SpatialPeriodic(d_p)
     elif kind == "temporal":
         omega = float(_require(pert, "angular_frequency", "perturbation"))
         if not (omega > 0):
@@ -279,8 +279,7 @@ def build_spec(raw: Mapping[str, Any]) -> SystemSpec:
     if declared_real:
         _check_real_pairing(spec)
     if denom == "approx" and spec.is_spatial and harmonics:
-        kinetic = max(0.5 * (spec.perturbation.bloch_wavenumber + ch.wavenumber) ** 2
-                      for ch in channel_energies(spec))
+        kinetic = max(0.5 * ch.wavenumber ** 2 for ch in channel_energies(spec))
         if energy <= kinetic:
             warnings.warn(
                 "total energy does not dominate the channel kinetic offsets; "
@@ -309,21 +308,15 @@ def _check_real_pairing(spec: SystemSpec) -> None:
 def channel_energies(spec: SystemSpec) -> list[ChannelEnergy]:
     """One ChannelEnergy per harmonic, in index order."""
     out = []
-    e = spec.total_energy
     for h in spec.harmonics:
         if spec.is_spatial:
             p: SpatialPeriodic = spec.perturbation
             g_p = 2.0 * np.pi * h.index / p.period
-            eps_s = e - HBAR * HBAR * (p.bloch_wavenumber + g_p) ** 2 / (2.0 * MASS)
             eps_p = HBAR * HBAR * g_p * g_p / (2.0 * MASS)
-            out.append(ChannelEnergy(h.index, eps_s, eps_p,
-                                     1.0 if h.index > 0 else -1.0, g_p))
+            out.append(ChannelEnergy(h.index, eps_p, 1.0 if h.index > 0 else -1.0, g_p))
         else:
             t: TimePeriodic = spec.perturbation
-            # temporal convention: the reference quasi-energy is E itself
-            eps_s = e - HBAR * t.angular_frequency * h.index
-            out.append(ChannelEnergy(h.index, eps_s, 0.0,
-                                     1.0 if h.index > 0 else -1.0,
+            out.append(ChannelEnergy(h.index, 0.0, 1.0 if h.index > 0 else -1.0,
                                      t.angular_frequency * h.index))
     return out
 
@@ -346,11 +339,7 @@ def to_document(spec: SystemSpec) -> dict[str, Any]:
     """Serialize back to a config document; build_spec round-trips it."""
     if spec.is_spatial:
         p: SpatialPeriodic = spec.perturbation
-        pert: dict[str, Any] = {
-            "kind": "spatial",
-            "period": p.period,
-            "bloch_wavenumber": p.bloch_wavenumber,
-        }
+        pert: dict[str, Any] = {"kind": "spatial", "period": p.period}
     else:
         t: TimePeriodic = spec.perturbation
         pert = {"kind": "temporal", "angular_frequency": t.angular_frequency}

@@ -97,19 +97,25 @@ class RealisationEnsemble:
     n_r: int
 
 
-def _solve_rational(tables: list[tuple[np.ndarray, np.ndarray, float]]) -> list[RootSet]:
-    """Certified roots of every (poles, weights, eps0) table in one batch."""
-    return [RootSet(*columns) for columns in _kernels.solve_secular_batch(tables)]
+def _solve_rational(tables: list[tuple[np.ndarray, np.ndarray, float]],
+                    labels: list[int] | range) -> list[RootSet]:
+    """Certified roots of every (poles, weights, eps0) table in one batch, each
+    table gated by `_assert_rootset` with its label (base state) in the messages."""
+    rootsets = [RootSet(*columns) for columns in _kernels.solve_secular_batch(tables)]
+    for (poles, _, _), rs, label in zip(tables, rootsets, labels):
+        _assert_rootset(poles, rs, label)
+    return rootsets
 
 
 def find_roots(table: PoleWeightTable, epsilon0: float) -> RootSet:
-    """All roots of V_nn(eps) = eps - eps0, one per pole-bounded interval."""
+    """All roots of V_nn(eps) = eps - eps0, one per pole-bounded interval;
+    SolverError if they fail the gate (`_assert_rootset`)."""
     if table.mode == "exact" and table.spatial:
         raise UnsupportedModeError(
             "guaranteed root finding needs the rational (approximate) form; "
             "use find_roots_exact for the diagnostic scan"
         )
-    return _solve_rational([(table.poles, table.weights, epsilon0)])[0]
+    return _solve_rational([(table.poles, table.weights, epsilon0)], [table.base_state])[0]
 
 
 # Python float powers: numpy's `10.0 ** array` rounds some of these differently
@@ -251,18 +257,17 @@ def assert_interlacing(poles: np.ndarray, roots: np.ndarray) -> None:
         raise SolverError("poles and roots do not strictly alternate")
 
 
-def _assert_rootset(state: StateSpectrum) -> None:
-    rs = state.rootset
-    poles = state.table.poles
+def _assert_rootset(poles: np.ndarray, rs: RootSet, n: int) -> None:
+    """The gate: interlacing, f_lo > 0 > f_hi and |f| <= 1e-9*max(1,|eps|)."""
     assert_interlacing(poles, rs.roots)
     if len(poles) > 0 and not np.all((rs.f_lo > 0.0) & (rs.f_hi < 0.0)):
-        raise SolverError(f"bracket certificate failed for base state {state.n}")
+        raise SolverError(f"bracket certificate failed for base state {n}")
     bound = 1e-9 * np.maximum(1.0, np.abs(rs.roots))
     worst = int(np.argmax(rs.residuals - bound))
     if rs.residuals[worst] > bound[worst]:
         raise SolverError(
             f"residual {float(rs.residuals[worst])} at root {float(rs.roots[worst])} "
-            f"(base state {state.n}) exceeds 1e-9*max(1,|eps|)"
+            f"(base state {n}) exceeds 1e-9*max(1,|eps|)"
         )
 
 
@@ -286,13 +291,9 @@ def solve_spectrum(spec: SystemSpec) -> SpectrumResult:
                                     f_lo=nans, f_hi=nans, residuals=nans))
     else:
         rootsets = _solve_rational([(t.poles, t.weights, e)
-                                    for t, e in zip(tables, eps0s)])
+                                    for t, e in zip(tables, eps0s)], ns)
     states = tuple(StateSpectrum(n=n, epsilon0=e, table=t, rootset=rs)
                    for n, e, t, rs in zip(ns, eps0s, tables, rootsets))
-
-    if not exact_spatial:
-        for st in states:
-            _assert_rootset(st)
     observed = sum(len(st.roots) for st in states)
     deficit = counts.n_max - observed
     if not exact_spatial and deficit > 0:
@@ -423,7 +424,7 @@ def appendix_auxiliary_roots(spec: SystemSpec, base0: EigenBasis, k: int,
     _, starts, weights = merge_poles(poles, np.array([w for _, w in raw]))
     poles = poles[starts[:-1]]
     eps0 = float(base0.eigenvalues[n - 1])
-    rs = _solve_rational([(poles, weights, eps0)])[0]
+    rs = _solve_rational([(poles, weights, eps0)], [n])[0]
     return AppendixRoots(k=k, n=n, poles=poles, weights=weights, rootset=rs)
 
 

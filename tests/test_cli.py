@@ -302,6 +302,42 @@ def test_figure1_curve_matches_per_point_writer(tmp_path, name, mode):
     assert (out / "curve.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
+@pytest.mark.parametrize("mode", ("approx", "exact"))
+def test_figure1_fails_like_spectrum(tmp_path, capsys, mode):
+    # n' = 6: approx fails the residual gate, exact has a closed channel
+    cfg = str(DOC_CONFIGS / "doc_spatial_nprime6.json")
+    records = []
+    for sub in ("spectrum", "figure1"):
+        assert run([sub, "--config", cfg, "--out", str(tmp_path / sub), "--mode", mode]) == 3
+        records.append(json.loads(capsys.readouterr().err.strip().split("\n")[-1]))
+    assert records[0] == records[1]
+    assert records[0]["error"] == "SolverError"
+    assert not (tmp_path / "figure1" / "intersections.csv").exists()
+
+
+@pytest.mark.filterwarnings("ignore:the graphical dump")
+@pytest.mark.parametrize("name", ("doc_spatial", "doc_temporal"))
+@pytest.mark.parametrize("mode", ("approx", "exact"))
+def test_figure1_intersections_are_the_spectrum_roots(tmp_path, name, mode):
+    cfg = str(DOC_CONFIGS / f"{name}.json")
+    for sub in ("spectrum", "figure1"):
+        assert run([sub, "--config", cfg, "--out", str(tmp_path / sub), "--mode", mode]) == 0
+    header, roots = read_rows(tmp_path / "spectrum" / "roots.csv")
+    assert read_rows(tmp_path / "figure1" / "intersections.csv") == \
+        (header[:3], [row[:3] for row in roots])
+
+
+@pytest.mark.parametrize("samples", ("0", "-1"))
+@pytest.mark.parametrize("sub", ("figure1", "reconstruct"))
+def test_samples_below_one_is_config_error(tmp_path, capsys, sub, samples):
+    cfg_path = write_config(tmp_path, temporal_config(weak_harmonics(), n_base=1))
+    assert run([sub, "--config", cfg_path, "--out", str(tmp_path / "o"),
+                "--samples", samples]) == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "ConfigError"
+    assert "--samples" in err["message"]
+
+
 def test_figure1_multi_state_warns(tmp_path):
     cfg_path = write_config(tmp_path, spatial_config(fig_anchor_harmonics(),
                                                      n_base=2))

@@ -32,21 +32,15 @@ def test_wavenumber_unit_period_ratio():
 
 
 def test_channel_energy_spatial():
-    # E = 4, K_p = 0, g_p = 1: eps_s = 4 - 0.5 = 3.5
     spec = build_spec(spatial_config(one_pair(), energy=4.0, period=2.0 * np.pi))
     chans = {c.index: c for c in channel_energies(spec)}
-    assert chans[1].epsilon_s_channel == 3.5
-    assert chans[-1].epsilon_s_channel == 3.5
     assert chans[1].cos_alpha == 1.0
     assert chans[-1].cos_alpha == -1.0
 
 
 def test_channel_energy_temporal():
-    # eps_s = E - omega*k: E = 4, omega = 2, k = 1 -> 2.0
     spec = build_spec(temporal_config(one_pair(), omega=2.0, energy=4.0))
     chans = {c.index: c for c in channel_energies(spec)}
-    assert chans[1].epsilon_s_channel == 2.0
-    assert chans[-1].epsilon_s_channel == 6.0
     assert chans[1].epsilon_p == 0.0
     assert chans[1].wavenumber == 2.0
 
@@ -112,6 +106,15 @@ def test_nonpositive_period_rejected():
     cfg = spatial_config(one_pair(), period=0.0)
     with pytest.raises(ConfigError, match="period"):
         build_spec(cfg)
+
+
+def test_nonzero_bloch_wavenumber_rejected():
+    # reconstruct takes each root's own wavenumber, so a fixed K would change nothing
+    with pytest.raises(ConfigError, match="bloch_wavenumber"):
+        build_spec(spatial_config(one_pair(), bloch=0.7))
+    cfg = spatial_config(one_pair())
+    del cfg["perturbation"]["bloch_wavenumber"]
+    assert build_spec(cfg) == build_spec(spatial_config(one_pair(), bloch=0.0))
 
 
 def test_nonpositive_frequency_rejected():

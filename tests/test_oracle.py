@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import mws.spectra as spectra
 from conftest import gaussian, temporal_config, weak_harmonics
 from mws.errors import SolverError
 from mws.model import build_spec, scale_amplitudes
@@ -145,6 +146,29 @@ def test_run_all_oracles_green(weak_temporal_spec):
         assert r.passed, f"{r.name}: max {r.max_discrepancy} > tol {r.tolerance}"
         d = r.as_dict()
         assert d["name"] == r.name
+        assert d["passed"] is True
+
+
+def test_run_all_oracles_solves_three_times(weak_temporal_spec, monkeypatch):
+    # the amplitude sweep's scale 1.0 is the spec itself, already solved
+    solved = []
+    real = spectra.solve_spectrum
+    monkeypatch.setattr(spectra, "solve_spectrum", lambda spec: solved.append(spec) or real(spec))
+    run_all_oracles(weak_temporal_spec)
+    assert len(solved) == 3
+
+
+def test_report_that_compared_nothing_fails():
+    # 16 poles per base state: the polynomial oracle's 12-pole cap skips both states
+    spec = build_spec(temporal_config(weak_harmonics(), n_prime=4, n_base=2))
+    assert all(len(st.table.poles) == 16 for st in solve_spectrum(spec).states)
+    poly, *others = [r.as_dict() for r in run_all_oracles(spec)]
+    assert poly["name"] == "polynomial-roots"
+    assert poly["n_compared"] == 0
+    assert poly["passed"] is False
+    assert "12-pole cap" in poly["compared"]
+    for d in others:
+        assert d["n_compared"] == len(d["discrepancies"]) > 0
         assert d["passed"] is True
 
 

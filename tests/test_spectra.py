@@ -1,6 +1,9 @@
 """Root structure, counting laws, realisation grouping, appendix diagnostics."""
 
+import json
 import warnings
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -71,12 +74,43 @@ def test_error_messages_print_plain_floats():
                   f_lo=rs.f_lo, f_hi=rs.f_hi, residuals=np.full(3, 0.5))
     messages = []
     with pytest.raises(SolverError, match="residual 0.5 at root") as gate:
-        _assert_rootset(StateSpectrum(n=1, epsilon0=0.5, table=table, rootset=bad))
+        _assert_rootset(table.poles, bad, 1)
     messages.append(str(gate.value))
     with pytest.raises(BracketError, match="pole 1.0") as bracket:
         find_roots(synthetic_table([0.0, 1.0], [1.0, 5e-324]), 0.5)
     messages.append(str(bracket.value))
     assert not any("np.float64(" in m for m in messages)
+
+
+def test_every_entry_point_gates_its_roots(monkeypatch):
+    # doc_spatial_nprime6 in approx mode fails the residual gate; find_roots and
+    # the appendix refuse the same table with solve_spectrum's own message
+    configs = Path(__file__).resolve().parents[1] / "perfbench" / "configs"
+    doc = json.loads((configs / "doc_spatial_nprime6.json").read_text())
+    spec = build_spec(dict(doc, modes=dict(doc["modes"], denominator="approx")))
+    with pytest.raises(SolverError, match="residual") as want:
+        solve_spectrum(spec)
+    bases = build_bases(spec)
+    table = build_pole_weight_table(spec, bases, 1)
+    eps0 = float(bases.base.eigenvalues[0])
+    with pytest.raises(SolverError) as got:
+        find_roots(table, eps0)
+    assert str(got.value) == str(want.value)
+
+    # the appendix rebuilds that table: omega = 0 leaves its poles at the levels
+    # of base0's other states, and harmonic 2's couplings square to its weights
+    couplings = np.sqrt(table.weights)
+    assert np.array_equal(couplings ** 2, table.weights)
+    base0 = SimpleNamespace(n_states=len(table.poles) + 1,
+                            eigenvalues=np.concatenate([[eps0], table.poles]))
+    monkeypatch.setattr(spectra, "matrix_element", lambda b0, b1, amplitude, n_prime, n:
+                        couplings[n_prime - 2] if n_prime != n else 0.0)
+    harmonics = tuple(SimpleNamespace(index=k, amplitude=None) for k in (1, 2))
+    fake = SimpleNamespace(is_spatial=False, indices=(1, 2), harmonics=harmonics,
+                           perturbation=SimpleNamespace(angular_frequency=0.0))
+    with pytest.raises(SolverError) as got:
+        appendix_auxiliary_roots(fake, base0, 1, 1)
+    assert str(got.value) == str(want.value)
 
 
 def test_single_pole_symmetric_roots():
