@@ -75,13 +75,10 @@ def _load_config(path: str) -> tuple[dict, str]:
 
 def _apply_overrides(doc: dict, args) -> dict:
     modes = dict(doc.get("modes", {}))
-    if args.mode is not None:
-        modes["denominator"] = args.mode
-    if args.backend is not None:
-        modes["basis"] = args.backend
-    out = dict(doc)
-    out["modes"] = modes
-    return out
+    for flag, key in (("mode", "denominator"), ("backend", "basis")):
+        if getattr(args, flag, None) is not None:
+            modes[key] = getattr(args, flag)
+    return dict(doc, modes=modes)
 
 
 def _manifest(out_dir: Path, subcommand: str, digest: str, outputs: list[str],
@@ -98,7 +95,7 @@ def _manifest(out_dir: Path, subcommand: str, digest: str, outputs: list[str],
     _write_json(out_dir / "manifest.json", payload)
 
 
-def cmd_basis(spec: SystemSpec, out_dir: Path, args) -> list[str]:
+def cmd_basis(spec: SystemSpec, doc: dict, out_dir: Path, args) -> list[str]:
     bases = build_bases(spec)
     b = bases.base
     header = ["n", "eigenvalue"] + [f"psi_{i}" for i in range(spec.grid_points)]
@@ -156,16 +153,16 @@ def _spectrum_outputs(spec: SystemSpec, out_dir: Path):
     return result, ensemble, ["roots.csv", "poles.csv", "counts.json", "realisations.json"]
 
 
-def cmd_spectrum(spec: SystemSpec, out_dir: Path, args) -> list[str]:
+def cmd_spectrum(spec: SystemSpec, doc: dict, out_dir: Path, args) -> list[str]:
     return _spectrum_outputs(spec, out_dir)[2]
 
 
-def cmd_kernel(spec: SystemSpec, out_dir: Path, args) -> list[str]:
+def cmd_kernel(spec: SystemSpec, doc: dict, out_dir: Path, args) -> list[str]:
     if args.epsilon is None:
         raise ConfigError("the kernel subcommand needs --epsilon")
     bases = build_bases(spec)
     k = ep_kernel_matrix(spec, bases, args.epsilon)
-    stride = args.stride if args.stride else max(1, (spec.grid_points - 1) // 256)
+    stride = max(1, (spec.grid_points - 1) // 256) if args.stride is None else args.stride
     idx = range(0, spec.grid_points, stride)
     grid = spec.grid
     header = ["x"] + [_fmt(grid[j]) for j in idx]
@@ -177,7 +174,7 @@ def cmd_kernel(spec: SystemSpec, out_dir: Path, args) -> list[str]:
     return outputs
 
 
-def cmd_reconstruct(spec: SystemSpec, out_dir: Path, args) -> list[str]:
+def cmd_reconstruct(spec: SystemSpec, doc: dict, out_dir: Path, args) -> list[str]:
     result, ensemble, outputs = _spectrum_outputs(spec, out_dir)
     wanted = args.realisation
     match = [r for r in ensemble.realisations if r.index == wanted]
@@ -201,7 +198,7 @@ def cmd_reconstruct(spec: SystemSpec, out_dir: Path, args) -> list[str]:
     return outputs + ["field.csv"]
 
 
-def cmd_verify(spec: SystemSpec, out_dir: Path, args) -> list[str]:
+def cmd_verify(spec: SystemSpec, doc: dict, out_dir: Path, args) -> list[str]:
     reports = run_all_oracles(spec)
     _write_json(out_dir / "verify.json", {
         "reports": [r.as_dict() for r in reports],
@@ -210,7 +207,7 @@ def cmd_verify(spec: SystemSpec, out_dir: Path, args) -> list[str]:
     return ["verify.json"]
 
 
-def cmd_figure1(spec: SystemSpec, out_dir: Path, args) -> list[str]:
+def cmd_figure1(spec: SystemSpec, doc: dict, out_dir: Path, args) -> list[str]:
     if spec.n_base != 1:
         warnings.warn("the graphical dump is designed for a single base state")
     per_interval = 200 if args.samples is None else args.samples
@@ -267,7 +264,7 @@ def _set_by_path(doc: dict, dotted: str, value: float) -> dict:
     return out
 
 
-def cmd_sweep(spec_doc: dict, out_dir: Path, args) -> list[str]:
+def cmd_sweep(spec: SystemSpec, doc: dict, out_dir: Path, args) -> list[str]:
     if not args.param:
         raise ConfigError("the sweep subcommand needs --param")
     if not args.values:
@@ -281,10 +278,9 @@ def cmd_sweep(spec_doc: dict, out_dir: Path, args) -> list[str]:
 
     rows = []
     for value in values:
-        doc = _set_by_path(spec_doc, args.param, value)
-        spec = build_spec(doc)
-        result = solve_spectrum(spec)
-        eigs = coupled_matrix_diagonalization(spec).eigenvalues
+        swept = build_spec(_set_by_path(doc, args.param, value))
+        result = solve_spectrum(swept)
+        eigs = coupled_matrix_diagonalization(swept).eigenvalues
         roots = np.array([v for (_, _, v) in result.all_roots()])
         dist = subset_recovery_distance(roots, eigs)
         for (n, j, root) in result.all_roots():
@@ -301,6 +297,7 @@ _COMMANDS = {
     "reconstruct": cmd_reconstruct,
     "verify": cmd_verify,
     "figure1": cmd_figure1,
+    "sweep": cmd_sweep,
 }
 
 
@@ -308,12 +305,12 @@ def _build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--config", required=True, help="path to the JSON config")
     shared.add_argument("--out", required=True, help="output directory")
-    shared.add_argument("--mode", choices=["approx", "exact"],
-                        help="override modes.denominator")
-    shared.add_argument("--backend", choices=["unperturbed", "v1"],
-                        help="override modes.basis")
-    shared.add_argument("--jobs", type=int, default=None,
-                        help="ignored; accepted for compatibility")
+    # the base eigenbasis that `basis` writes depends on neither override
+    overrides = argparse.ArgumentParser(add_help=False)
+    overrides.add_argument("--mode", choices=["approx", "exact"],
+                           help="override modes.denominator")
+    overrides.add_argument("--backend", choices=["unperturbed", "v1"],
+                           help="override modes.basis")
 
     parser = argparse.ArgumentParser(
         prog="mws",
@@ -324,25 +321,25 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
     sub.add_parser("basis", parents=[shared], help="base eigenpairs as CSV")
-    sub.add_parser("spectrum", parents=[shared],
+    sub.add_parser("spectrum", parents=[shared, overrides],
                    help="roots, poles, counts, realisations")
-    k = sub.add_parser("kernel", parents=[shared], help="nonlocal kernel matrix dump")
+    k = sub.add_parser("kernel", parents=[shared, overrides], help="nonlocal kernel matrix dump")
     k.add_argument("--epsilon", type=float, default=None,
                    help="energy at which to evaluate the kernel")
-    k.add_argument("--stride", type=int, default=None,
-                   help="grid stride for the dump (default: about 256 rows)")
-    r = sub.add_parser("reconstruct", parents=[shared],
+    k.add_argument("--stride", type=int,
+                   help="grid stride >= 1 for the dump (default: about 256 rows)")
+    r = sub.add_parser("reconstruct", parents=[shared, overrides],
                        help="wavefunction and density for one realisation")
     r.add_argument("--realisation", type=int, default=1,
                    help="1-based realisation index (default 1)")
     r.add_argument("--allow-evanescent", action="store_true",
                    help="assemble evanescent states with imaginary wavenumber")
     r.add_argument("--samples", type=int, help="points along the second axis (default 65)")
-    sub.add_parser("verify", parents=[shared], help="run all oracles")
-    f = sub.add_parser("figure1", parents=[shared],
+    sub.add_parser("verify", parents=[shared, overrides], help="run all oracles")
+    f = sub.add_parser("figure1", parents=[shared, overrides],
                        help="graphical-solution data: curves, asymptotes, intersections")
     f.add_argument("--samples", type=int, help="curve points per pole interval (default 200)")
-    s = sub.add_parser("sweep", parents=[shared], help="spectrum across a parameter")
+    s = sub.add_parser("sweep", parents=[shared, overrides], help="spectrum across a parameter")
     s.add_argument("--param", help="dotted config path, e.g. perturbation.scale")
     s.add_argument("--values", help="comma-separated numeric values")
     return parser
@@ -352,18 +349,16 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     started = time.perf_counter()
     try:
-        if getattr(args, "samples", None) is not None and args.samples < 1:
-            raise ConfigError(f"--samples must be >= 1, got {args.samples}")
+        for flag in ("samples", "stride"):   # the count flags
+            count = getattr(args, flag, None)
+            if count is not None and count < 1:
+                raise ConfigError(f"--{flag} must be >= 1, got {count}")
         doc, digest = _load_config(args.config)
         doc = _apply_overrides(doc, args)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        if args.subcommand == "sweep":
-            spec = build_spec(doc)
-            outputs = cmd_sweep(doc, out_dir, args)
-        else:
-            spec = build_spec(doc)
-            outputs = _COMMANDS[args.subcommand](spec, out_dir, args)
+        spec = build_spec(doc)
+        outputs = _COMMANDS[args.subcommand](spec, doc, out_dir, args)
         _manifest(out_dir, args.subcommand, digest, outputs, spec, started)
         return EXIT_OK
     except ConfigError as exc:

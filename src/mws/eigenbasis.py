@@ -34,10 +34,6 @@ class EigenBasis:
     def n_states(self) -> int:
         return len(self.eigenvalues)
 
-    def inner(self, f: np.ndarray, g: np.ndarray) -> complex:
-        """Quadrature inner product <f|g> = integral of conj(f)*g."""
-        return complex(np.sum(self.quad_weights * np.conjugate(f) * g))
-
 
 def _trapezoid_weights(n_x: int, h: float) -> np.ndarray:
     w = np.full(n_x, h)

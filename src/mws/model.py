@@ -7,7 +7,8 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field, replace
-from typing import Any, Mapping, Sequence
+from collections.abc import Mapping, Sequence
+from typing import Any
 
 import numpy as np
 
@@ -18,6 +19,28 @@ MASS = 1.0
 
 DENOMINATOR_MODES = ("approx", "exact")
 BASIS_BACKENDS = ("unperturbed", "v1")
+
+# Every key docs/configuration.md documents; build_spec rejects any other, so a
+# misspelt optional key cannot silently fall back to its default.
+_SECTION_KEYS = {
+    "box": ("length",),
+    "grid": ("points",),
+    "energy": ("total",),
+    "truncation": ("n_base", "n_prime"),
+    "modes": ("denominator", "basis"),
+}
+_TOP_KEYS = tuple(_SECTION_KEYS) + ("base_potential", "perturbation")
+_PERTURBATION_KEYS = {
+    "spatial": ("kind", "harmonics", "scale", "real", "period", "bloch_wavenumber"),
+    "temporal": ("kind", "harmonics", "scale", "real", "angular_frequency"),
+}
+_HARMONIC_KEYS = ("index", "amplitude")
+_PROFILE_KEYS = {
+    "constant": ("value",),
+    "cosine": ("amplitude", "cycles", "phase"),
+    "gaussian": ("height", "center", "width"),
+    "samples": ("values",),
+}
 
 
 @dataclass(frozen=True)
@@ -138,6 +161,11 @@ def sample_profile(doc: Mapping[str, Any], x: np.ndarray, where: str,
     if not isinstance(doc, Mapping):
         raise ConfigError(f"{where}: expected an object with a 'kind' key")
     kind = doc.get("kind")
+    if not isinstance(kind, str) or kind not in _PROFILE_KEYS:
+        raise ConfigError(
+            f"{where}.kind must be one of constant/cosine/gaussian/samples, got {kind!r}"
+        )
+    _known_keys(doc, where, ("kind",) + _PROFILE_KEYS[kind])
     length = x[-1] - x[0]
     if kind == "constant":
         c = _as_complex_scalar(doc.get("value", 0.0), f"{where}.value")
@@ -154,7 +182,7 @@ def sample_profile(doc: Mapping[str, Any], x: np.ndarray, where: str,
         if width <= 0:
             raise ConfigError(f"{where}.width must be > 0")
         out = h * np.exp(-((x - center) ** 2) / (2.0 * width * width))
-    elif kind == "samples":
+    else:
         values = doc.get("values")
         if not isinstance(values, Sequence) or len(values) != len(x):
             raise ConfigError(
@@ -162,10 +190,6 @@ def sample_profile(doc: Mapping[str, Any], x: np.ndarray, where: str,
             )
         out = np.array([_as_complex_scalar(v, f"{where}.values[{i}]")
                         for i, v in enumerate(values)])
-    else:
-        raise ConfigError(
-            f"{where}.kind must be one of constant/cosine/gaussian/samples, got {kind!r}"
-        )
     if real_only:
         if np.any(out.imag != 0.0):
             raise ConfigError(f"{where}: profile must be real")
@@ -180,22 +204,36 @@ def _require(doc: Mapping[str, Any], key: str, where: str) -> Any:
     return doc[key]
 
 
+def _known_keys(doc: Any, where: str, known: Sequence[str]) -> Mapping[str, Any]:
+    """`doc` itself, once it is an object holding no key outside `known`."""
+    if not isinstance(doc, Mapping):
+        raise ConfigError(f"{where or 'config root'} must be an object")
+    unknown = [f"{where}.{key}" if where else str(key) for key in doc if key not in known]
+    if unknown:
+        raise ConfigError(f"unknown config key {', '.join(unknown)} "
+                          f"(docs/configuration.md lists every key)")
+    return doc
+
+
+def _section(raw: Mapping[str, Any], key: str) -> Mapping[str, Any]:
+    return _known_keys(_require(raw, key, ""), key, _SECTION_KEYS[key])
+
+
 def build_spec(raw: Mapping[str, Any]) -> SystemSpec:
     """Validate a raw config document and produce a SystemSpec.
 
-    Raises ConfigError naming the violated rule on any invalid input.
+    Raises ConfigError naming the violated rule on any invalid input, and
+    naming the dotted path of any key docs/configuration.md does not list.
     """
-    if not isinstance(raw, Mapping):
-        raise ConfigError("config root must be an object")
-
-    box = _require(raw, "box", "")
-    grid = _require(raw, "grid", "")
+    _known_keys(raw, "", _TOP_KEYS)
+    box = _section(raw, "box")
+    grid = _section(raw, "grid")
     length = float(_require(box, "length", "box"))
     if not (length > 0):
         raise ConfigError("box.length must be > 0")
     n_x = int(_require(grid, "points", "grid"))
 
-    trunc = _require(raw, "truncation", "")
+    trunc = _section(raw, "truncation")
     n_base = int(_require(trunc, "n_base", "truncation"))
     n_prime = int(_require(trunc, "n_prime", "truncation"))
     if n_base < 1:
@@ -212,7 +250,10 @@ def build_spec(raw: Mapping[str, Any]) -> SystemSpec:
                         real_only=True)
 
     pert = _require(raw, "perturbation", "")
-    kind = _require(pert, "kind", "perturbation")
+    kind = pert.get("kind") if isinstance(pert, Mapping) else None
+    if not isinstance(kind, str) or kind not in _PERTURBATION_KEYS:
+        raise ConfigError(f"perturbation.kind must be 'spatial' or 'temporal', got {kind!r}")
+    _known_keys(pert, "perturbation", _PERTURBATION_KEYS[kind])
     if kind == "spatial":
         d_p = float(_require(pert, "period", "perturbation"))
         if not (d_p > 0):
@@ -221,13 +262,11 @@ def build_spec(raw: Mapping[str, Any]) -> SystemSpec:
             raise ConfigError("perturbation.bloch_wavenumber must be 0: the reconstructed "
                               "field takes its wavenumber from each root")
         perturbation: SpatialPeriodic | TimePeriodic = SpatialPeriodic(d_p)
-    elif kind == "temporal":
+    else:
         omega = float(_require(pert, "angular_frequency", "perturbation"))
         if not (omega > 0):
             raise ConfigError("perturbation.angular_frequency must be > 0")
         perturbation = TimePeriodic(omega)
-    else:
-        raise ConfigError(f"perturbation.kind must be 'spatial' or 'temporal', got {kind!r}")
 
     scale = float(pert.get("scale", 1.0))
     raw_harmonics = pert.get("harmonics", [])
@@ -237,7 +276,7 @@ def build_spec(raw: Mapping[str, Any]) -> SystemSpec:
     harmonics = []
     for i, hdoc in enumerate(raw_harmonics):
         where = f"perturbation.harmonics[{i}]"
-        idx = _require(hdoc, "index", where)
+        idx = _require(_known_keys(hdoc, where, _HARMONIC_KEYS), "index", where)
         if not isinstance(idx, int) or isinstance(idx, bool):
             raise ConfigError(f"{where}.index must be an integer")
         if idx == 0:
@@ -249,9 +288,9 @@ def build_spec(raw: Mapping[str, Any]) -> SystemSpec:
         harmonics.append(Harmonic(idx, scale * amp))
     harmonics.sort(key=lambda h: h.index)
 
-    energy = float(_require(_require(raw, "energy", ""), "total", "energy"))
+    energy = float(_require(_section(raw, "energy"), "total", "energy"))
 
-    modes = raw.get("modes", {})
+    modes = _known_keys(raw.get("modes", {}), "modes", _SECTION_KEYS["modes"])
     denom = modes.get("denominator", "approx")
     if denom not in DENOMINATOR_MODES:
         raise ConfigError(f"modes.denominator must be one of {DENOMINATOR_MODES}, got {denom!r}")

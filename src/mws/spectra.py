@@ -229,7 +229,7 @@ def count_solutions(spec: SystemSpec) -> CountReport:
     n_s = spec.n_base
     n_max_r = n_p * n_pr + 1
     n_0_r = n_pr + 1
-    n_delta_r = n_pr * (n_p - 1)
+    n_delta_r = n_pr * max(n_p - 1, 0)     # no drive (n_p = 0) adds no roots either
     return CountReport(
         n_p=n_p,
         n_prime=n_pr,
@@ -327,13 +327,14 @@ def split_at_largest_gaps(values: np.ndarray, n_groups: int) -> list[np.ndarray]
 def group_realisations(result: SpectrumResult, n_r: int | None = None) -> RealisationEnsemble:
     """Partition each base state's roots into realisations at the widest gaps.
 
-    `n_r=None` means the automatic choice: one realisation per harmonic.
+    `n_r=None` means the automatic choice: one realisation per harmonic, and
+    one when there is no drive.
     """
     method = "largest-gaps"
     if n_r is None:
-        n_r = result.counts.n_p
+        n_r = max(result.counts.n_p, 1)
         method = "auto-largest-gaps"
-    bound = result.counts.n_prime * (result.counts.n_p - 1) + 1
+    bound = result.counts.n_delta_reduced + 1
     if n_r > bound:
         raise SolverError(
             f"requested {n_r} realisations exceeds the formal bound {bound}"

@@ -117,6 +117,45 @@ def test_invalid_config_contents(tmp_path):
     assert run(["spectrum", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize("parent,good,bad,path", [
+    (("modes",), "denominator", "denominater", "modes.denominater"),
+    (("perturbation",), "scale", "scal", "perturbation.scal"),
+    (("perturbation", "harmonics", 0), "index", "indx", "perturbation.harmonics[0].indx"),
+    (("perturbation", "harmonics", 0, "amplitude"), "width", "widht",
+     "perturbation.harmonics[0].amplitude.widht"),
+], ids=("modes", "perturbation", "harmonic", "gaussian"))
+def test_undocumented_key_is_config_error(tmp_path, capsys, parent, good, bad, path):
+    # a misspelt optional key would otherwise run on its default
+    cfg = spatial_config(fig_anchor_harmonics())
+    node = cfg
+    for key in parent:
+        node = node[key]
+    node[bad] = node.pop(good)
+    cfg_path = write_config(tmp_path, cfg)
+    assert run(["spectrum", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "ConfigError"
+    assert path in err["message"]
+
+
+@pytest.mark.parametrize("sub", ("spectrum", "reconstruct"))
+def test_empty_drive_keeps_each_base_level(tmp_path, sub):
+    cfg = temporal_config([], n_base=2)
+    out = tmp_path / "out"
+    assert run([sub, "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+    counts = json.loads((out / "counts.json").read_text())
+    assert counts["n_delta"] == 0
+    assert all(v >= 0 for v in counts.values() if isinstance(v, (int, float)))
+    _, roots = read_rows(out / "roots.csv")
+    eps0 = build_bases(build_spec(cfg)).base.eigenvalues
+    assert [(r[0], r[1]) for r in roots] == [("1", "1"), ("2", "1")]
+    assert np.allclose([float(r[2]) for r in roots], eps0[:2], rtol=1e-12)
+    reals = json.loads((out / "realisations.json").read_text())
+    assert reals["n_r"] == 1
+    assert [m["root"] for m in reals["realisations"][0]["members"]] == \
+        [float(r[2]) for r in roots]
+
+
 def test_zero_harmonic_index_is_config_error(tmp_path):
     cfg = spatial_config([{"index": 0, "amplitude": gaussian(0.3, 0.5, 0.2)}])
     cfg_path = write_config(tmp_path, cfg)
@@ -328,14 +367,15 @@ def test_figure1_intersections_are_the_spectrum_roots(tmp_path, name, mode):
 
 
 @pytest.mark.parametrize("samples", ("0", "-1"))
-@pytest.mark.parametrize("sub", ("figure1", "reconstruct"))
-def test_samples_below_one_is_config_error(tmp_path, capsys, sub, samples):
+@pytest.mark.parametrize("sub,flag", (("figure1", "--samples"), ("reconstruct", "--samples"),
+                                      ("kernel", "--stride")), ids=("figure1", "reconstruct", "kernel"))
+def test_samples_below_one_is_config_error(tmp_path, capsys, sub, flag, samples):
     cfg_path = write_config(tmp_path, temporal_config(weak_harmonics(), n_base=1))
     assert run([sub, "--config", cfg_path, "--out", str(tmp_path / "o"),
-                "--samples", samples]) == 2
+                flag, samples]) == 2
     err = json.loads(capsys.readouterr().err.strip())
     assert err["error"] == "ConfigError"
-    assert "--samples" in err["message"]
+    assert flag in err["message"]
 
 
 def test_figure1_multi_state_warns(tmp_path):
