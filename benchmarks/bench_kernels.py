@@ -1,4 +1,4 @@
-"""Time the batched secular-equation solver.
+"""Time the batched secular-equation solver and the exact-mode scan.
 
 Usage:
     python3 benchmarks/bench_kernels.py [--repeats 5] [--tables 200] \
@@ -10,9 +10,18 @@ against the eigenvalues of the arrowhead matrix
 [[eps0, sqrt(w)^T], [sqrt(w), diag(p)]] to 1e-9*max(1,|root|), and every
 bracket against its sign certificate f_lo > 0 > f_hi, before the timings
 (best of the repeats) are reported.
+
+The exact-mode section runs `mws.spectra.find_roots_exact` on the pole
+tables of a fixed set of exact spatial configs. It counts, per table, the
+refinement rounds (V_nn calls after the scan's one sample call) and the
+(energy, member) terms V_nn evaluated. Every root is checked first: a plain
+float sum of the exact relation must change sign within 1e-9*max(1,|root|)
+of it, with no denominator changing sign there (no pole). Then the timings
+(best of the repeats) are reported.
 """
 
 import argparse
+import math
 import sys
 import time
 from pathlib import Path
@@ -24,7 +33,10 @@ try:
 except ImportError:  # run from a checkout without installing
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+import mws.spectra
 from mws import _kernels
+from mws.effpot import build_bases, build_pole_weight_tables
+from mws.model import build_spec
 
 
 def make_batch(rng, tables, p_count):
@@ -52,6 +64,100 @@ def arrowhead_roots(poles, weights, eps0):
     a[0, 1:] = a[1:, 0] = np.sqrt(weights)
     a[np.arange(1, n), np.arange(1, n)] = poles
     return np.linalg.eigvalsh(a)
+
+
+EXACT_CELLS = [(n_p, n_prime, energy) for n_p in (2, 4) for n_prime in (1, 2, 4)
+               for energy in (9.5, 16.0)]      # N_p, n', E; N_s = 2
+
+
+def exact_doc(n_p, n_prime, energy):
+    """A spatial exact-mode config: n_p/2 conjugate pairs of off-centre bumps."""
+    box = float(np.pi)
+    harmonics = []
+    for g in range(1, n_p // 2 + 1):
+        amp = {"kind": "gaussian", "height": 0.6 / g, "center": box * (0.3 + 0.1 * g),
+               "width": box * 0.2}
+        harmonics += [{"index": g, "amplitude": amp}, {"index": -g, "amplitude": dict(amp)}]
+    return {
+        "box": {"length": box},
+        "grid": {"points": 200},
+        "base_potential": {"kind": "constant", "value": 0.0},
+        "perturbation": {"kind": "spatial", "period": 6.5, "bloch_wavenumber": 0.0,
+                         "real": True, "harmonics": harmonics},
+        "energy": {"total": energy},
+        "truncation": {"n_base": 2, "n_prime": n_prime},
+        "modes": {"denominator": "exact", "basis": "unperturbed"},
+    }
+
+
+def exact_relation(members, total_energy, eps0, eps):
+    """sum w/d(eps) - eps + eps0 in plain floats, and the denominators' signs."""
+    terms, signs = [], []
+    for m in members:
+        d = eps - m.eps0_aux - m.eps_p \
+            - 2.0 * m.cos_alpha * math.sqrt((total_energy - eps) * m.eps_p)
+        terms.append(m.weight / d)
+        signs.append(d > 0.0)
+    return math.fsum(terms + [eps0 - eps]), signs
+
+
+def check_exact_roots(label, table, eps0, roots):
+    e = table.total_energy
+    members = [m for entry in table.entries for m in entry.members]
+    for r in roots.tolist():
+        half = 1e-9 * max(1.0, abs(r))
+        f_lo, signs_lo = exact_relation(members, e, eps0, r - half)
+        f_hi, signs_hi = exact_relation(members, e, eps0, min(r + half, e))
+        if signs_lo != signs_hi:
+            raise SystemExit(f"{label}: root {r!r} brackets a pole")
+        if f_lo * f_hi > 0.0:
+            raise SystemExit(f"{label}: no sign change within {half!r} of root {r!r}")
+
+
+def bench_exact_scan(repeats):
+    """Check, count and time `find_roots_exact` on the EXACT_CELLS tables."""
+    cases = []
+    for n_p, n_prime, energy in EXACT_CELLS:
+        spec = build_spec(exact_doc(n_p, n_prime, energy))
+        bases = build_bases(spec)
+        for table in build_pole_weight_tables(spec, bases):
+            n = table.base_state
+            cases.append((f"Np={n_p} n'={n_prime} E={energy} n={n}", table,
+                          float(bases.base.eigenvalues[n - 1])))
+    vnn = mws.spectra._vnn
+    counts = []         # per table: V_nn calls, (energy, member) terms, roots
+
+    def counting_vnn(table, eps):
+        counts[-1][0] += 1
+        counts[-1][1] += len(eps) * len(table.members.weight)
+        return vnn(table, eps)
+
+    mws.spectra._vnn = counting_vnn
+    try:
+        for label, table, eps0 in cases:
+            counts.append([0, 0, 0])
+            roots = mws.spectra.find_roots_exact(table, eps0)
+            check_exact_roots(label, table, eps0, roots)
+            counts[-1][2] = len(roots)
+    finally:
+        mws.spectra._vnn = vnn
+    times = []
+    for label, table, eps0 in cases:
+        best = np.inf
+        for _ in range(repeats):
+            t0 = time.perf_counter()
+            mws.spectra.find_roots_exact(table, eps0)
+            best = min(best, time.perf_counter() - t0)
+        times.append(best)
+
+    print(f"\n{'exact table':<26}  {'T':>3}  {'roots':>5}  {'rounds':>6}  "
+          f"{'evals':>8}  {'ms':>7}")
+    for (label, table, _), (calls, evals, n_roots), t in zip(cases, counts, times):
+        print(f"{label:<26}  {len(table.members.weight):>3}  {n_roots:>5}  "
+              f"{calls - 1:>6}  {evals:>8}  {t * 1e3:>7.2f}")
+    print(f"{'total':<26}  {'':>3}  {sum(c[2] for c in counts):>5}  "
+          f"{sum(c[0] - 1 for c in counts):>6}  {sum(c[1] for c in counts):>8}  "
+          f"{sum(times) * 1e3:>7.2f}")
 
 
 def main():
@@ -84,6 +190,7 @@ def main():
         n_roots = args.tables * (p_count + 1)
         print(f"{p_count:>3}  {n_roots:>6}  {elapsed * 1e3:>9.2f}  "
               f"{elapsed * 1e6 / n_roots:>8.2f}  {worst:>11.2e}")
+    bench_exact_scan(args.repeats)
     return 0
 
 

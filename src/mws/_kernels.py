@@ -14,8 +14,9 @@ Note 89, 1994). All intervals of all tables with the same pole count are
 handled as one set of arrays.
 
 `_pole_sums` is the one compensated evaluator of sum_j w_j/(x - p_j): the
-solver's residuals and every V_nn evaluation (`effpot._vnn`) go through it
-or through `_compensated_sum`, its summation step.
+solver's residuals and the rational V_nn (`effpot._vnn`) go through it. The
+exact spatial V_nn (`effpot._exact_vnn`) takes `_compensated_sum`'s step one
+term at a time.
 """
 
 from __future__ import annotations

@@ -379,19 +379,20 @@ def _exact_denominator(m: Members | ChannelTerms, eps, room):
     return eps - m.eps0_aux - m.eps_p - 2.0 * m.cos_alpha * np.sqrt(room * m.eps_p)
 
 
-_VNN_CHUNK = 512  # energies per (energies x members) term block
+_VNN_CHUNK = 512  # energies per (energies x poles) term block of the rational form
 
 
 def _vnn(table: PoleWeightTable, eps: np.ndarray) -> np.ndarray:
     """V_nn at every element of a 1-D array of energies, NaN where undefined.
 
-    The rational form (approx mode, temporal drives) sums the table's poles,
-    the exact spatial form its members' square-root denominators; both in
-    table order by `_kernels._compensated_sum`, so each element rounds
-    exactly as a one-energy evaluation would. Elements within
-    `proximity_tol()` of a pole, above E in exact mode, or where an exact
-    denominator vanishes are NaN. A zero denominator needs no mask: its
-    infinite term turns the compensation into inf - inf.
+    The rational form (approx mode, temporal drives) sums the table's poles
+    by `_kernels._pole_sums`, the exact spatial form its members' square-root
+    denominators by `_exact_vnn`; both in table order with the same
+    compensated step, so each element rounds exactly as a one-energy
+    evaluation would. Elements within `proximity_tol()` of a pole, above E in
+    exact mode, or where an exact denominator vanishes are NaN. A zero
+    denominator needs no mask: its infinite term turns the compensation into
+    inf - inf.
     """
     if not len(table.poles):
         return np.zeros(len(eps))
@@ -400,22 +401,34 @@ def _vnn(table: PoleWeightTable, eps: np.ndarray) -> np.ndarray:
     left = np.maximum(right - 1, 0)
     gap = np.minimum(np.abs(poles[left] - eps), np.abs(poles[right] - eps))
     undefined = gap <= table.proximity_tol()
-    exact = table.spatial and table.mode == "exact"
-    if exact:
+    if table.spatial and table.mode == "exact":
         undefined |= eps > table.total_energy
-        m = table.members
-    out = np.empty(len(eps))
-    for start in range(0, len(eps), _VNN_CHUNK):
-        e = eps[start:start + _VNN_CHUNK]
-        if exact:
-            room = table.total_energy - e[:, None]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                terms = m.weight / _exact_denominator(m, e[:, None], room)
-            out[start:start + _VNN_CHUNK] = _kernels._compensated_sum(terms)
-        else:
+        out = _exact_vnn(table.members, table.total_energy, eps)
+    else:
+        out = np.empty(len(eps))
+        for start in range(0, len(eps), _VNN_CHUNK):
+            e = eps[start:start + _VNN_CHUNK]
             out[start:start + _VNN_CHUNK] = _kernels._pole_sums(poles, table.weights, e)[0]
     out[undefined] = np.nan
     return out
+
+
+def _exact_vnn(m: Members, total_energy: float, eps: np.ndarray) -> np.ndarray:
+    """sum_t w_t / d_t(eps) over the members in table order, one member at a
+    time over all energies: each term enters running sums (s, c) by the
+    two-sum step of `_kernels._compensated_sum`, bit for bit."""
+    room = total_energy - eps
+    s = np.zeros(len(eps))
+    c = np.zeros(len(eps))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for member in zip(*(column.tolist() for column in m)):
+            member = Members._make(member)
+            term = member.weight / _exact_denominator(member, eps, room)
+            t = s + term
+            back = t - s
+            c += (s - (t - back)) + (term - back)
+            s = t
+        return s + c
 
 
 def _negated_amplitude(spec: SystemSpec, index: int) -> np.ndarray:

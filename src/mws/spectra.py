@@ -154,10 +154,10 @@ def find_roots_exact(table: PoleWeightTable, epsilon0: float) -> np.ndarray:
     """Diagnostic scan roots for the exact denominators (no count claim).
 
     Samples each interval between singularities, approaching its ends
-    geometrically so roots hugging a pole are not stepped over, then bisects
-    every sign change. The scan stops at epsilon = E where the square roots
-    turn imaginary. Tables without exact square-root denominators go to
-    `find_roots`.
+    geometrically so roots hugging a pole are not stepped over, then refines
+    every sign change (`_refine`). The scan stops at epsilon = E where the
+    square roots turn imaginary. Tables without exact square-root
+    denominators go to `find_roots`.
     """
     if not (table.spatial and table.mode == "exact"):
         return find_roots(table, epsilon0).roots
@@ -188,36 +188,69 @@ def find_roots_exact(table: PoleWeightTable, epsilon0: float) -> np.ndarray:
     pair[np.cumsum([len(x) for x in samples]) - 1] = False  # across an edge
     on_sample = pair & (f1 == 0.0)
     change = pair & (f1 * f2 < 0.0)
-    roots = [x1[on_sample], _bisect(f, x1[change], f1[change], x2[change])]
+    roots = [x1[on_sample], _refine(f, x1[change], f1[change], x2[change], f2[change])]
     if vals[-1] == 0.0:
         roots.append([hi])
     return np.sort(np.concatenate(roots))
 
 
-def _bisect(f, a: np.ndarray, fa: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Bisect every bracket [a, b] with f(a) = fa at once, 200 halvings at most.
+def _refine(f, a: np.ndarray, fa: np.ndarray, b: np.ndarray, fb: np.ndarray) -> np.ndarray:
+    """Refine every bracket [a, b] with f(a) = fa, f(b) = fb of opposite signs
+    at once by safeguarded regula falsi, 200 rounds at most.
 
-    Each bracket stops on its own: at an undefined (NaN) midpoint or one where
-    f == 0, the midpoint is the root; once b - a <= 1e-13 max(1, |a|), or
-    after the last halving, the root is the bracket's midpoint.
+    Each round evaluates f at one point per bracket: the regula falsi point,
+    kept at least a quarter of the stop width inside each end (Brent's
+    minimum step), or the midpoint when that point is NaN or outside [a, b],
+    the previous one gave an undefined (NaN) f, or the bracket has not halved
+    over the last 4 rounds. A point that rounds onto an end means the root
+    is within rounding of it, so the minimum step, not a midpoint, follows.
+    When the same end is kept twice in a row its stored f is scaled by
+    m = 1 - f(x)/f(moved end), or by 1/2 when m <= 0 (Anderson & Bjorck,
+    BIT 13, 253, 1973); the signs of the ends never change, so the bracket
+    always holds a true sign change. Each bracket stops on its own: where
+    f == 0, or at an undefined midpoint, that point is the root; once
+    b - a <= 1e-13 max(1, |a|), or after the last round, the root is the
+    bracket's midpoint.
     """
     root = np.empty(len(a))
     idx = np.arange(len(a))
-    for _ in range(200):
+    neg_a = fa < 0.0
+    kept = np.zeros(len(a), dtype=int)          # 1: a kept last round, 2: b kept
+    undefined = np.zeros(len(a), dtype=bool)    # the last interpolant gave NaN
+    widths = np.full((4, len(a)), np.inf)       # widths of the last 4 rounds
+    for r in range(200):
         if not len(idx):
             break
-        m = 0.5 * (a + b)
-        fm = f(m)
-        halt = np.isnan(fm) | (fm == 0.0)
-        lower = fa * fm < 0.0
-        b = np.where(lower, m, b)
-        a = np.where(lower, a, m)
-        fa = np.where(lower, fa, fm)
-        narrow = ~halt & (b - a <= 1e-13 * np.maximum(1.0, np.abs(a)))
-        root[idx[halt]] = m[halt]
+        width = b - a
+        stalled = width > 0.5 * widths[r % 4]
+        widths[r % 4] = width
+        step = 0.25 * (1e-13 * np.maximum(1.0, np.abs(a)))
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            x_rf = (a * fb - b * fa) / (fb - fa)
+        x = np.minimum(np.maximum(x_rf, a + step), b - step)
+        interp = (a <= x_rf) & (x_rf <= b) & (a < x) & (x < b) & ~undefined & ~stalled
+        x = np.where(interp, x, 0.5 * (a + b))
+        fx = f(x)
+        undefined = np.isnan(fx)
+        halt = (undefined & ~interp) | (fx == 0.0)
+        move = ~undefined & ~halt
+        lower = move & ((fx < 0.0) != neg_a)    # the root is in (a, x): b moves
+        upper = move & ~lower
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            m = 1.0 - fx / np.where(lower, fb, fa)
+        m = np.where(m > 0.0, m, 0.5)
+        fa = np.where(lower & (kept == 1), fa * m, np.where(upper, fx, fa))
+        fb = np.where(upper & (kept == 2), fb * m, np.where(lower, fx, fb))
+        a = np.where(upper, x, a)
+        b = np.where(lower, x, b)
+        kept = np.where(lower, 1, np.where(upper, 2, kept))
+        narrow = move & (b - a <= 1e-13 * np.maximum(1.0, np.abs(a)))
+        root[idx[halt]] = x[halt]
         root[idx[narrow]] = 0.5 * (a[narrow] + b[narrow])
         keep = ~(halt | narrow)
-        a, fa, b, idx = a[keep], fa[keep], b[keep], idx[keep]
+        a, fa, b, fb, idx = a[keep], fa[keep], b[keep], fb[keep], idx[keep]
+        neg_a, kept, undefined, widths = neg_a[keep], kept[keep], undefined[keep], \
+            widths[:, keep]
     root[idx] = 0.5 * (a + b)
     return root
 

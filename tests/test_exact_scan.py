@@ -1,11 +1,15 @@
 """V_nn and the exact-mode scan: the array evaluation must reproduce the scalar one bit for bit.
 
 `reference_vnn` and `reference_scan` are the one-energy-at-a-time evaluation
-and scan that the array code replaced. Roots must be `np.array_equal` to
-theirs, and the array V_nn must equal the scalar value element for element,
-NaN where the scalar raises, in exact and approx mode alike.
+and scan that the array code replaced; `reference_refine` mirrors the array
+refinement step for step. Roots must be `np.array_equal` to theirs, and the
+array V_nn must equal the scalar value element for element, NaN where the
+scalar raises, in exact and approx mode alike. `reference_bisect` is an
+independent oracle: the refined roots must be the bisected ones to the stop
+width, with the same count, in at most half the rounds.
 """
 
+import functools
 import math
 import re
 from dataclasses import astuple
@@ -19,7 +23,8 @@ from mws.effpot import Members, PoleMember, PoleWeightTable, _vnn, build_bases, 
     build_pole_weight_table, exact_pole_general, exact_pole_pair, vnn_eval
 from mws.errors import PoleProximityError, SolverError
 from mws.model import build_spec
-from mws.spectra import _bisect, find_roots_exact
+import mws.spectra
+from mws.spectra import _refine, find_roots_exact
 
 
 def reference_vnn(table, epsilon):
@@ -81,8 +86,50 @@ def reference_bisect(f, a, fa, b, fb):
     return 0.5 * (a + b)
 
 
-def reference_scan(table, epsilon0, n_samples=4001):
-    """Scalar sample-and-bisect scan of the exact relation."""
+def reference_refine(f, a, fa, b, fb):
+    """Scalar safeguarded regula falsi, step for step as `_refine`; f returns
+    None where it is undefined."""
+    neg_a = fa < 0.0
+    kept = 0                    # 1: a kept last round, 2: b kept
+    undefined = False
+    widths = [math.inf] * 4
+    for r in range(200):
+        width = b - a
+        stalled = width > 0.5 * widths[r % 4]
+        widths[r % 4] = width
+        step = 0.25 * (1e-13 * max(1.0, abs(a)))
+        x_rf = (a * fb - b * fa) / (fb - fa)
+        x = min(max(x_rf, a + step), b - step)
+        interp = a <= x_rf <= b and a < x < b and not undefined and not stalled
+        if not interp:
+            x = 0.5 * (a + b)
+        fx = f(x)
+        undefined = fx is None
+        if undefined:
+            if not interp:
+                return x
+            continue
+        if fx == 0.0:
+            return x
+        if (fx < 0.0) != neg_a:           # the root is in (a, x): b moves
+            if kept == 1:
+                m = 1.0 - fx / fb
+                fa *= m if m > 0.0 else 0.5
+            b, fb, kept = x, fx, 1
+        else:
+            if kept == 2:
+                m = 1.0 - fx / fa
+                fb *= m if m > 0.0 else 0.5
+            a, fa, kept = x, fx, 2
+        if b - a <= 1e-13 * max(1.0, abs(a)):
+            break
+    return 0.5 * (a + b)
+
+
+@functools.cache
+def reference_sign_changes(table, epsilon0, n_samples=4001):
+    """Scalar sampling of the exact relation: (f, roots on samples, sign
+    changes (x1, f1, x2, f2)), f returning None where it is undefined."""
     e = table.total_energy
     poles = [float(p) for p in table.poles if p < e]
     if poles:
@@ -102,7 +149,7 @@ def reference_scan(table, epsilon0, n_samples=4001):
             return None
 
     per = max(16, n_samples // max(1, len(edges) - 1))
-    roots = []
+    on_sample, changes = [], []
     for a, b in zip(edges, edges[1:]):
         gap = b - a
         if gap <= 0.0:
@@ -118,12 +165,27 @@ def reference_scan(table, epsilon0, n_samples=4001):
             if f1 is None or f2 is None:
                 continue
             if f1 == 0.0:
-                roots.append(x1)
+                on_sample.append(x1)
             elif f1 * f2 < 0.0:
-                roots.append(reference_bisect(f, x1, f1, x2, f2))
+                changes.append((x1, f1, x2, f2))
     if f(hi) == 0.0:
-        roots.append(hi)
-    return np.array(sorted(roots))
+        on_sample.append(hi)
+    return f, on_sample, changes
+
+
+def reference_scan(table, epsilon0, refine=reference_refine):
+    """Scalar sample-and-refine scan of the exact relation; `refine(f, a, fa,
+    b, fb)` finds the root of each sign change."""
+    f, on_sample, changes = reference_sign_changes(table, epsilon0)
+    return np.array(sorted(on_sample + [refine(f, *change) for change in changes]))
+
+
+def counted(f, calls):
+    """f, appending 1 to `calls` per evaluation."""
+    def wrapper(x):
+        calls.append(1)
+        return f(x)
+    return wrapper
 
 
 def harmonics(n_p):
@@ -219,6 +281,105 @@ def test_scan_roots_bitwise_equal_to_scalar_scan(label, table, eps0):
     assert np.array_equal(got, want), label
 
 
+@pytest.mark.parametrize("label,table,eps0", CASES, ids=[c[0] for c in CASES])
+def test_scan_roots_match_bisection(label, table, eps0):
+    want = reference_scan(table, eps0, refine=reference_bisect)
+    got = find_roots_exact(table, eps0)
+    assert len(got) == len(want), label
+    assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want))), label
+
+
+def test_refinement_needs_at_most_half_the_bisection_rounds(monkeypatch):
+    rounds = []
+
+    def counting_refine(f, *brackets):
+        calls = []
+        roots = _refine(counted(f, calls), *brackets)
+        rounds.append(len(calls))
+        return roots
+
+    monkeypatch.setattr(mws.spectra, "_refine", counting_refine)
+    bisection = 0
+    for _, table, eps0 in CASES:
+        find_roots_exact(table, eps0)
+        f, _, changes = reference_sign_changes(table, eps0)
+        per_bracket = [0]
+        for change in changes:
+            calls = []
+            reference_bisect(counted(f, calls), *change)
+            per_bracket.append(len(calls))
+        bisection += max(per_bracket)   # an array bisection runs until its last bracket stops
+    assert max(rounds) <= 200
+    assert sum(rounds) <= 0.5 * bisection, (sum(rounds), bisection)
+
+
+def scalar_of(f):
+    """The scalar form of an array function, None where it is NaN."""
+    def scalar(x):
+        v = float(f(np.array([x]))[0])
+        return None if math.isnan(v) else v
+    return scalar
+
+
+def nan_band(center, half, g):
+    return lambda x: np.where(np.abs(x - center) < half, np.nan, g(x))
+
+
+@pytest.mark.parametrize("f,a,b,root,rounds", [
+    # the first regula falsi point is the root
+    (lambda x: x, -1.0, 3.0, 0.0, 1),
+    # NaN at the first interpolant (0.75); the midpoint 0.5 moves b, and the
+    # next interpolant is the root 3/8
+    (nan_band(0.75, 0.01, lambda x: np.where(x <= 0.5, 3.0 - 8.0 * x, -1.0)),
+     0.0, 1.0, 0.375, 3),
+    # NaN at the interpolant 0.5, then at the midpoint 0.5: the midpoint is the root
+    (nan_band(0.5, 0.1, lambda x: 1.0 - 2.0 * x), 0.0, 1.0, 0.5, 2),
+    # the root 1e-17 above a: the interpolant rounds onto a, and the minimum
+    # step a + 2.5e-14 closes the bracket to within the stop width
+    (lambda x: 1e-17 - (x - 0.5), 0.5, 1.0, 0.5 * (0.5 + (0.5 + 2.5e-14)), 1),
+    # the interpolant 1e-13 leaves b - a == 1e-13: the stop width, not one round more
+    (lambda x: np.where(x > 0.5e-13, 1.0, -1.0), 0.0, 2e-13, 0.5e-13, 1),
+    # an infinite f leaves no interpolant: 200 midpoints of a 1e300-wide
+    # bracket fall short of the stop width at 1e250, so the cap ends the search
+    (lambda x: np.where(x < 1e250, np.inf, -1.0), 0.0, 1e300, None, 200),
+], ids=["zero", "undefined-interpolant", "undefined-midpoint", "end", "width", "cap"])
+def test_refine_exits_match_scalar(f, a, b, root, rounds):
+    fa, fb = float(f(np.array([a]))[0]), float(f(np.array([b]))[0])
+    want = reference_refine(scalar_of(f), a, fa, b, fb)
+    calls = []
+    got = _refine(counted(f, calls), np.array([a, a]), np.array([fa, fa]),
+                  np.array([b, b]), np.array([fb, fb]))
+    assert got.tolist() == [want, want]
+    assert len(calls) == rounds
+    if root is not None:
+        assert want == root
+
+
+@pytest.mark.parametrize("f,a,b", [
+    # a steep 1/(x - p) side with the root 1e-6 from the pole p = 0
+    (lambda x: 1e-6 / x - 1.0, 1e-12, 10.0),
+    # the same, seen from the other side of the root
+    (lambda x: 1.0 - 1e-6 / x, 1e-12, 10.0),
+    # an infinite slope at the end E = 4: sqrt(E - x) - c, root 1e-8 below E
+    (lambda x: np.sqrt(4.0 - x) - 1e-4, -10.0, 4.0),
+    # a step function, its jump at 1/3
+    (lambda x: np.where(x < 1.0 / 3.0, 1.0, -1.0), 0.0, 1.0),
+], ids=["pole-side", "pole-side-flipped", "sqrt-end", "step"])
+def test_refine_certifies_adversarial_brackets(f, a, b):
+    fa, fb = float(f(np.array([a]))[0]), float(f(np.array([b]))[0])
+    calls = []
+    root = float(_refine(counted(f, calls), np.array([a]), np.array([fa]),
+                         np.array([b]), np.array([fb]))[0])
+    assert root == reference_refine(scalar_of(f), a, fa, b, fb)
+    bisect_calls = []
+    reference_bisect(counted(scalar_of(f), bisect_calls), a, fa, b, fb)
+    # the 4-round halving rule: never slower than a quarter of bisection's rate
+    assert len(calls) <= min(200, 4 * len(bisect_calls) + 4)
+    width = 1e-13 * max(1.0, abs(root))
+    lo, hi = np.array([root - width]), np.array([min(root + width, b)])
+    assert f(lo)[0] * f(hi)[0] <= 0.0
+
+
 @pytest.mark.parametrize("label,table,eps0", VNN_CASES, ids=[c[0] for c in VNN_CASES])
 def test_array_vnn_matches_scalar_elementwise(label, table, eps0):
     xs = probe_points(table, eps0)
@@ -243,23 +404,6 @@ def test_array_vnn_matches_scalar_elementwise(label, table, eps0):
         vnn_eval(table, xs)
     exact = table.spatial and table.mode == "exact"
     assert len(errors) >= len(table.poles) + exact   # every pole, and E + 1 if exact
-
-
-@pytest.mark.parametrize("f,a,b", [
-    (lambda x: x, -1.0, 3.0),                                    # f == 0 at a midpoint
-    (lambda x: np.where(np.abs(x - 0.5) < 0.1, np.nan, x - 0.3), 0.0, 1.0),  # NaN midpoint
-    (lambda x: np.where(x > 0.0, 1.0, -1.0), 0.0, 1e-13 * 2.0 ** 5),  # width == 1e-13
-    (lambda x: np.where(x > 1e250, 1.0, -1.0), 0.0, 1e300),      # 200-halving cap
-], ids=["zero", "undefined", "width", "cap"])
-def test_bisect_exits_match_scalar(f, a, b):
-    def scalar(x):
-        v = float(f(np.array([x]))[0])
-        return None if math.isnan(v) else v
-
-    fa = float(f(np.array([a]))[0])
-    want = reference_bisect(scalar, a, fa, b, float(f(np.array([b]))[0]))
-    got = _bisect(f, np.array([a, a]), np.array([fa, fa]), np.array([b, b]))
-    assert got.tolist() == [want, want]
 
 
 def test_scan_cuts_at_unlisted_plus_branch_singularity():
