@@ -12,12 +12,12 @@ bracket against its sign certificate f_lo > 0 > f_hi, before the timings
 (best of the repeats) are reported.
 
 The exact-mode section runs `mws.spectra.find_roots_exact` on the pole
-tables of a fixed set of exact spatial configs. It counts, per table, the
-refinement rounds (V_nn calls after the scan's one sample call) and the
-(energy, member) terms V_nn evaluated. Every root is checked first: a plain
-float sum of the exact relation must change sign within 1e-9*max(1,|root|)
-of it, with no denominator changing sign there (no pole). Then the timings
-(best of the repeats) are reported.
+tables of a fixed set of exact spatial configs. It prints, per table, the
+dimension of the K eigenproblem, the `_exact_vnn` calls and the energies
+they evaluate, and the `_refine` rounds. Every root is checked first: a
+plain float sum of the exact relation must change sign within
+1e-9*max(1,|root|) of it, with no denominator changing sign there (no pole).
+Then the timings (best of the repeats) are reported.
 """
 
 import argparse
@@ -124,23 +124,29 @@ def bench_exact_scan(repeats):
             n = table.base_state
             cases.append((f"Np={n_p} n'={n_prime} E={energy} n={n}", table,
                           float(bases.base.eigenvalues[n - 1])))
-    vnn = mws.spectra._vnn
-    counts = []         # per table: V_nn calls, (energy, member) terms, roots
+    vnn, refine = mws.spectra._exact_vnn, mws.spectra._refine
+    counts = []         # per table: V_nn calls, energies, refine rounds, roots
 
-    def counting_vnn(table, eps):
+    def counting_vnn(members, total_energy, eps):
         counts[-1][0] += 1
-        counts[-1][1] += len(eps) * len(table.members.weight)
-        return vnn(table, eps)
+        counts[-1][1] += len(eps)
+        return vnn(members, total_energy, eps)
 
-    mws.spectra._vnn = counting_vnn
+    def counting_refine(f, *brackets):
+        def g(x):
+            counts[-1][2] += 1
+            return f(x)
+        return refine(g, *brackets)
+
+    mws.spectra._exact_vnn, mws.spectra._refine = counting_vnn, counting_refine
     try:
         for label, table, eps0 in cases:
-            counts.append([0, 0, 0])
+            counts.append([0, 0, 0, 0])
             roots = mws.spectra.find_roots_exact(table, eps0)
             check_exact_roots(label, table, eps0, roots)
-            counts[-1][2] = len(roots)
+            counts[-1][3] = len(roots)
     finally:
-        mws.spectra._vnn = vnn
+        mws.spectra._exact_vnn, mws.spectra._refine = vnn, refine
     times = []
     for label, table, eps0 in cases:
         best = np.inf
@@ -150,14 +156,16 @@ def bench_exact_scan(repeats):
             best = min(best, time.perf_counter() - t0)
         times.append(best)
 
-    print(f"\n{'exact table':<26}  {'T':>3}  {'roots':>5}  {'rounds':>6}  "
-          f"{'evals':>8}  {'ms':>7}")
-    for (label, table, _), (calls, evals, n_roots), t in zip(cases, counts, times):
-        print(f"{label:<26}  {len(table.members.weight):>3}  {n_roots:>5}  "
-              f"{calls - 1:>6}  {evals:>8}  {t * 1e3:>7.2f}")
-    print(f"{'total':<26}  {'':>3}  {sum(c[2] for c in counts):>5}  "
-          f"{sum(c[0] - 1 for c in counts):>6}  {sum(c[1] for c in counts):>8}  "
-          f"{sum(times) * 1e3:>7.2f}")
+    dims = [len(mws.spectra._k_companion(t.members, t.total_energy, e)) for _, t, e in cases]
+    print(f"\n{'exact table':<26}  {'T':>3}  {'dim':>3}  {'roots':>5}  {'calls':>5}  "
+          f"{'energies':>8}  {'rounds':>6}  {'ms':>7}")
+    for (label, table, _), dim, (calls, energies, rounds, n_roots), t in \
+            zip(cases, dims, counts, times):
+        print(f"{label:<26}  {len(table.members.weight):>3}  {dim:>3}  {n_roots:>5}  "
+              f"{calls:>5}  {energies:>8}  {rounds:>6}  {t * 1e3:>7.2f}")
+    total = [sum(c[i] for c in counts) for i in range(4)]
+    print(f"{'total':<26}  {'':>3}  {'':>3}  {total[3]:>5}  {total[0]:>5}  {total[1]:>8}  "
+          f"{total[2]:>6}  {sum(times) * 1e3:>7.2f}")
 
 
 def main():

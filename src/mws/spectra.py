@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from mws import _kernels
-from mws.effpot import ChannelBases, PoleWeightTable, _vnn, apply_effective_potential, \
-    build_bases, build_pole_weight_tables, exact_pole_pair, merge_poles
+from mws.effpot import ChannelBases, Members, PoleWeightTable, _exact_denominator, \
+    _exact_vnn, apply_effective_potential, build_bases, build_pole_weight_tables, merge_poles
 from mws.eigenbasis import EigenBasis, apply_kinetic, matrix_element, \
     solve_base_eigenproblem
 from mws.errors import SolverError, UnsupportedModeError
@@ -113,30 +113,34 @@ def find_roots(table: PoleWeightTable, epsilon0: float) -> RootSet:
     if table.mode == "exact" and table.spatial:
         raise UnsupportedModeError(
             "guaranteed root finding needs the rational (approximate) form; "
-            "use find_roots_exact for the diagnostic scan"
+            "use find_roots_exact"
         )
     return _solve_rational([(table.poles, table.weights, epsilon0)], [table.base_state])[0]
 
 
-# Python float powers: numpy's `10.0 ** array` rounds some of these differently
-_NEAR_POLE_SCALES = np.array([10.0 ** (-j) for j in range(12, 0, -1)])
+def _k_poles(m: Members, total_energy: float) -> tuple[np.ndarray, np.ndarray]:
+    """(G, R) of every member: at eps = E - K^2/2 its denominator is
+    -((K + G)^2 - R^2)/2, with G = cos(alpha) sqrt(2 eps_p) and
+    R^2 = 2(E - eps0' - eps_p (1 - cos^2 alpha)), so its K-poles are -G +- R.
+    R is complex where R^2 < 0 (no real singularity)."""
+    g = m.cos_alpha * np.sqrt(2.0 * m.eps_p)
+    r = np.emath.sqrt(2.0 * (total_energy - m.eps0_aux - m.eps_p * (1.0 - m.cos_alpha ** 2)))
+    return g, r
 
 
 def exact_scan_edges(table: PoleWeightTable, epsilon0: float) -> list[float]:
-    """Interval edges of the exact-mode scan: a lower bound, the singularities
-    below E, E.
+    """Edges of figure1's exact curve: a lower bound, the singularities below
+    E, E.
 
-    The exact relation is defined only up to epsilon = E, so poles at or
-    above E bound nothing. A cos(alpha) = -1 member with
-    0 <= E - eps0' < eps_p has a second singularity, the plus branch of
-    `exact_pole_pair`, which its table pole does not list.
+    The singularities are the real K-poles q = -G +- R > 0 of `_k_poles`,
+    at eps = E - q^2/2; a member whose K-poles are all negative or complex
+    has no zero on the eps <= E branch, whatever its table pole says.
     """
     e = table.total_energy
-    m = table.members
-    plus = [exact_pole_pair(level, eps_p, e)[0] for level, eps_p, cos_alpha in
-            zip(m.eps0_aux.tolist(), m.eps_p.tolist(), m.cos_alpha.tolist())
-            if cos_alpha == -1.0 and 0.0 <= e - level < eps_p]
-    poles = [p for p in np.unique(np.concatenate([table.poles, plus])).tolist() if p < e]
+    g, r = _k_poles(table.members, e)
+    q = np.concatenate([-g + r, -g - r])
+    q = q.real[(q.imag == 0.0) & (q.real > 0.0)]
+    poles = sorted(set((e - 0.5 * q * q).tolist()))
     if poles:
         lo = min(poles[0], epsilon0) - (poles[-1] - poles[0] + 1.0)
     else:
@@ -147,51 +151,86 @@ def exact_scan_edges(table: PoleWeightTable, epsilon0: float) -> list[float]:
     return [lo] + [p for p in poles if lo < p < hi] + [hi]
 
 
-_SCAN_SAMPLES = 4001  # shared among the scan's intervals, at least 16 each
+def _k_companion(m: Members, total_energy: float, epsilon0: float) -> np.ndarray:
+    """Companion matrix whose eigenvalues are every solution K of the exact
+    relation times 2, K^2 + 2(eps0 - E) + sum_j b_j/(K - q_j) = 0.
+
+    Each member with w != 0 gives the K-poles q = -G + R, -G - R with
+    weights b = -2w/R, +2w/R (`_k_poles`); rows 2.. hold y_j = 1/(K - q_j).
+    At R == 0 its term is -4w/(K + G)^2, a Jordan pair y1 = 1/(K + G),
+    y2 = y1^2. The matrix is real unless some R^2 < 0.
+    """
+    live = m.weight != 0.0
+    w = m.weight[live]
+    g, r = _k_poles(Members(*(column[live] for column in m)), total_energy)
+    simple = r != 0.0
+    q = np.concatenate([-g[simple] + r[simple], -g[simple] - r[simple]])
+    b = np.concatenate([-2.0 * w[simple] / r[simple], 2.0 * w[simple] / r[simple]])
+    n = len(q)
+    dim = 2 + n + 2 * int(np.count_nonzero(~simple))
+    mat = np.zeros((dim, dim), dtype=r.dtype)
+    mat[0, 1] = 1.0
+    mat[1, 0] = 2.0 * (total_energy - epsilon0)
+    j = np.arange(2, 2 + n)
+    mat[1, j] = -b
+    mat[j, 0] = 1.0
+    mat[j, j] = q
+    y1 = np.arange(2 + n, dim, 2)
+    mat[y1, 0] = 1.0
+    mat[y1, y1] = mat[y1 + 1, y1 + 1] = -g[~simple]
+    mat[y1 + 1, y1] = 1.0
+    mat[1, y1 + 1] = 4.0 * w[~simple]
+    return mat
 
 
 def find_roots_exact(table: PoleWeightTable, epsilon0: float) -> np.ndarray:
-    """Diagnostic scan roots for the exact denominators (no count claim).
+    """Certified roots of the exact relation V_nn(eps) = eps - eps0 (no count
+    claim), ascending.
 
-    Samples each interval between singularities, approaching its ends
-    geometrically so roots hugging a pole are not stepped over, then refines
-    every sign change (`_refine`). The scan stops at epsilon = E where the
-    square roots turn imaginary. Tables without exact square-root
-    denominators go to `find_roots`.
+    With eps = E - K^2/2 the relation is rational in the Bloch wavenumber K,
+    and the eigenvalues of one companion matrix (`_k_companion`) are all of
+    its solutions. Each eigenvalue with Re K >= -tol and |Im K| <= tol,
+    tol = 1e-8 max(1, |K|), gives a candidate eps = E - K^2/2; the margin
+    below 0 keeps a root at eps = E, whose K = 0 comes back as +-1e-16. A
+    candidate is certified when its window [eps - h, min(eps + h, E)],
+    h = 1e-9 max(1, |eps|), holds no sign change of any member's denominator
+    and a sign change (or a zero) of f = V_nn - eps + eps0, both evaluated
+    by `effpot._exact_vnn`/`_exact_denominator`; `_refine` then polishes it
+    to 1e-13 max(1, |eps|). Candidates that fail the certificate are not
+    returned, and one warning per table names the base state and their
+    count. Tables without exact square-root denominators go to `find_roots`.
     """
     if not (table.spatial and table.mode == "exact"):
         return find_roots(table, epsilon0).roots
-    edges = exact_scan_edges(table, epsilon0)
-    hi = edges[-1]
+    e = table.total_energy
+    m = table.members
+    k = np.linalg.eigvals(_k_companion(m, e, epsilon0))
+    tol = 1e-8 * np.maximum(1.0, np.abs(k))
+    eps = e - 0.5 * k.real[(k.real >= -tol) & (np.abs(k.imag) <= tol)] ** 2
+    h = 1e-9 * np.maximum(1.0, np.abs(eps))
+    lo, hi = eps - h, np.minimum(eps + h, e)
 
-    def f(eps: np.ndarray) -> np.ndarray:
-        # NaN where the exact relation is undefined
-        return _vnn(table, eps) - eps + epsilon0
+    def f(x: np.ndarray) -> np.ndarray:
+        return _exact_vnn(m, e, x) - x + epsilon0
 
-    per = max(16, _SCAN_SAMPLES // max(1, len(edges) - 1))
-    samples = []
-    for a, b in zip(edges, edges[1:]):
-        gap = b - a
-        if gap <= 0.0:
-            continue
-        offs = gap * _NEAR_POLE_SCALES
-        up, down = a + offs, b - offs
-        samples.append(np.unique(np.concatenate([
-            up[(a < up) & (up < b)],
-            down[(a < down) & (down < b)],
-            np.linspace(a + 0.1 * gap, b - 0.1 * gap, per),
-        ])))
-    xs = np.concatenate(samples + [[hi]])
-    vals = f(xs)
-    x1, x2, f1, f2 = xs[:-1], xs[1:], vals[:-1], vals[1:]
-    pair = ~np.isnan(f1) & ~np.isnan(f2)
-    pair[np.cumsum([len(x) for x in samples]) - 1] = False  # across an edge
-    on_sample = pair & (f1 == 0.0)
-    change = pair & (f1 * f2 < 0.0)
-    roots = [x1[on_sample], _refine(f, x1[change], f1[change], x2[change], f2[change])]
-    if vals[-1] == 0.0:
-        roots.append([hi])
-    return np.sort(np.concatenate(roots))
+    ends = np.concatenate([lo, hi])
+    positive = _exact_denominator(m, ends[:, None], (e - ends)[:, None]) > 0.0
+    f_ends = f(ends)
+    c = len(eps)
+    fa, fb = f_ends[:c], f_ends[c:]
+    ok = np.all(positive[:c] == positive[c:], axis=1) & (np.sign(fa) * np.sign(fb) <= 0.0)
+    if not np.all(ok):
+        warnings.warn(f"exact mode: {c - int(np.count_nonzero(ok))} eigenvalue "
+                      f"candidate(s) of base state {table.base_state} failed the "
+                      f"window certificate and are not returned", stacklevel=2)
+    lo, hi, fa, fb = lo[ok], hi[ok], fa[ok], fb[ok]
+    inner = (fa != 0.0) & (fb != 0.0)
+    roots = np.where(fa == 0.0, lo, hi)
+    roots[inner] = _refine(f, lo[inner], fa[inner], hi[inner], fb[inner])
+    roots.sort()
+    # two candidates of one root: the second lies in the first one's window
+    distinct = np.diff(roots) > 1e-9 * np.maximum(1.0, np.abs(roots[:-1]))
+    return roots[np.concatenate(([True], distinct))[:len(roots)]]
 
 
 def _refine(f, a: np.ndarray, fa: np.ndarray, b: np.ndarray, fb: np.ndarray) -> np.ndarray:

@@ -1,18 +1,25 @@
-"""V_nn and the exact-mode scan: the array evaluation must reproduce the scalar one bit for bit.
+"""V_nn and the exact-mode roots, each against an independent scalar reference.
 
-`reference_vnn` and `reference_scan` are the one-energy-at-a-time evaluation
-and scan that the array code replaced; `reference_refine` mirrors the array
-refinement step for step. Roots must be `np.array_equal` to theirs, and the
-array V_nn must equal the scalar value element for element, NaN where the
-scalar raises, in exact and approx mode alike. `reference_bisect` is an
-independent oracle: the refined roots must be the bisected ones to the stop
-width, with the same count, in at most half the rounds.
+`reference_vnn` is the one-energy-at-a-time V_nn: the array V_nn must equal
+it bit for bit, NaN where it raises, in exact and approx mode alike.
+`reference_scan` is the sample-and-refine scan that exact mode used before
+its roots came from one eigenvalue problem in the Bloch wavenumber K; with
+`reference_refine` (which mirrors `_refine` step for step) or
+`reference_bisect` it is the oracle for `find_roots_exact`. A root counts
+when it has the window certificate (`reference_certified`): within
+1e-9*max(1,|r|) of it no member's denominator changes sign and the exact
+relation does.
 """
 
+import dataclasses
 import functools
+import importlib.util
 import math
 import re
+import sys
+import warnings
 from dataclasses import astuple
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,18 +31,19 @@ from mws.effpot import Members, PoleMember, PoleWeightTable, _vnn, build_bases, 
 from mws.errors import PoleProximityError, SolverError
 from mws.model import build_spec
 import mws.spectra
-from mws.spectra import _refine, find_roots_exact
+from mws.spectra import _k_companion, _refine, exact_scan_edges, find_roots_exact
 
 
-def reference_vnn(table, epsilon):
+def reference_vnn(table, epsilon, proximity=True):
     """Scalar V_nn with per-term compensated summation: over the poles in
-    approx mode and for temporal drives, over the exact denominators else."""
+    approx mode and for temporal drives, over the exact denominators else.
+    `proximity=False` skips the band of `proximity_tol()` around each pole."""
     if not table.entries:
         return 0.0
     poles = np.array([e.pole for e in table.entries])
     tol = table.proximity_tol()
     nearest = int(np.argmin(np.abs(poles - epsilon)))
-    if abs(poles[nearest] - epsilon) <= tol:
+    if proximity and abs(poles[nearest] - epsilon) <= tol:
         raise PoleProximityError(
             f"epsilon {epsilon!r} is within {tol!r} of pole {poles[nearest]!r}"
         )
@@ -273,20 +281,83 @@ def probe_points(table, eps0):
     return np.array(xs + [e, np.nextafter(e, np.inf)], dtype=float)
 
 
+def reference_denominators(table, epsilon):
+    """Scalar exact denominators of every member, in table order."""
+    e = table.total_energy
+    return [epsilon - m.eps0_aux - m.eps_p - 2.0 * m.cos_alpha * math.sqrt((e - epsilon) * m.eps_p)
+            for entry in table.entries for m in entry.members]
+
+
+def reference_certified(table, epsilon0, r):
+    """The window certificate of a root r, in scalar arithmetic: on
+    [r - h, min(r + h, E)], h = 1e-9*max(1,|r|), no member's denominator
+    changes sign and f = V_nn - eps + eps0 does (or is 0 at an end)."""
+    h = 1e-9 * max(1.0, abs(r))
+    lo, hi = r - h, min(r + h, table.total_energy)
+    signs = [[d > 0.0 for d in reference_denominators(table, x)] for x in (lo, hi)]
+    if signs[0] != signs[1]:
+        return False
+    try:
+        f_lo, f_hi = (reference_vnn(table, x, proximity=False) - x + epsilon0 for x in (lo, hi))
+    except SolverError:     # a denominator vanished at an end
+        return False
+    return f_lo * f_hi <= 0.0
+
+
+def assert_matches_oracle(label, table, eps0, want, got, same_count):
+    """Every certified oracle root is returned within 1e-13*max(1,|r|), every
+    returned root is certified, and (for `same_count`) the counts agree."""
+    for r in want.tolist():
+        if reference_certified(table, eps0, r):
+            assert np.min(np.abs(got - r), initial=np.inf) <= 1e-13 * max(1.0, abs(r)), \
+                (label, r)
+    for r in got.tolist():
+        assert reference_certified(table, eps0, r), (label, r)
+    assert np.all(np.diff(got) > 0.0) and np.all(got <= table.total_energy), label
+    if same_count:
+        assert len(got) == len(want), (label, got, want)
+
+
+SPEC_LABELS = {label for label, _, _ in spec_tables()}
+
+
+# The ids below are kept from when these tests pinned the scan bit for bit;
+# they now check the K-eigenvalue roots against the scan as an oracle.
 @pytest.mark.parametrize("label,table,eps0", CASES, ids=[c[0] for c in CASES])
 def test_scan_roots_bitwise_equal_to_scalar_scan(label, table, eps0):
     want = reference_scan(table, eps0)
     got = find_roots_exact(table, eps0)
     assert got.dtype == want.dtype
-    assert np.array_equal(got, want), label
+    assert_matches_oracle(label, table, eps0, want, got, label in SPEC_LABELS)
 
 
 @pytest.mark.parametrize("label,table,eps0", CASES, ids=[c[0] for c in CASES])
 def test_scan_roots_match_bisection(label, table, eps0):
     want = reference_scan(table, eps0, refine=reference_bisect)
     got = find_roots_exact(table, eps0)
-    assert len(got) == len(want), label
-    assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want))), label
+    assert_matches_oracle(label, table, eps0, want, got, label in SPEC_LABELS)
+
+
+def test_no_poles_below_e_table_keeps_only_certified_roots():
+    label, table, eps0 = synthetic_tables()[0]
+    assert label == "no poles below E"
+    want = reference_scan(table, eps0)
+    got = find_roots_exact(table, eps0)
+    # the scan reports a root at a singularity that no table pole lists:
+    # member (1, 1)'s denominator changes sign there and f jumps through it
+    singular = 3.316624790355256
+    assert singular in want.tolist()
+    assert not reference_certified(table, eps0, singular)
+    h = 1e-9 * singular
+    d_lo, d_hi = (reference_denominators(table, x)[0] for x in (singular - h, singular + h))
+    assert d_lo < 0.0 < d_hi
+    f_lo, f_hi = (reference_vnn(table, x) - x + eps0 for x in (singular - h, singular + h))
+    assert f_lo < -1e6 and f_hi > 1e6
+    assert np.min(np.abs(got - singular)) > 1e-3
+    # a root below the scan's lower edge (eps0 - 1) is found, and certified
+    low = got[np.abs(got + 1.36476) < 1e-5]
+    assert len(low) == 1 and low[0] < eps0 - 1.0
+    assert reference_certified(table, eps0, float(low[0]))
 
 
 def test_refinement_needs_at_most_half_the_bisection_rounds(monkeypatch):
@@ -463,3 +534,192 @@ def test_table_arrays_built_once_read_only(anchor_spatial_spec, anchor_spatial_b
             arr[0] = 0
     with pytest.raises(AttributeError):
         table.members.weight = table.members.weight.copy()
+
+
+def exact_roots(table, eps0):
+    """find_roots_exact's roots and the messages of the warnings it gave."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        roots = find_roots_exact(table, eps0)
+    return roots, [str(w.message) for w in caught]
+
+
+@pytest.mark.parametrize("cos_alpha", [1.0, -1.0])
+def test_double_k_pole_at_eps0_prime_equal_to_e(cos_alpha):
+    # eps0' = E: R = 0, so the member's term is -4w/(K + G)^2, a Jordan pair
+    energy = 6.0
+    table = synthetic([PoleMember(2, 1, 0.2, 1.0, 0.5, 1.0),
+                       PoleMember(1, 1, 0.3, energy, 0.8, cos_alpha)],
+                      [1.0 - 0.5 + 2.0 * math.sqrt(0.5 * 5.0), energy - 0.8], energy)
+    eps0 = 2.0
+    mat = _k_companion(table.members, energy, eps0)
+    assert mat.shape == (6, 6) and mat.dtype == np.float64
+    assert mat[1, 5] == 4.0 * 0.3                   # y2 = y1^2 enters row 1
+    got, messages = exact_roots(table, eps0)
+    assert messages == []
+    assert len(got) > 0
+    assert_matches_oracle("double pole", table, eps0, reference_scan(table, eps0), got,
+                          same_count=False)
+    # the double singularity at E - eps_p, where the cos(alpha) = -1 member's
+    # denominator touches 0 without a sign change, carries no root
+    assert np.min(np.abs(got - (energy - 0.8))) > 1e-6
+
+
+def test_complex_k_poles_give_a_complex_companion_and_certified_roots():
+    # cos(alpha) = 0.3 with eps_p sin^2(alpha) > E - eps0': R^2 < 0, so this
+    # member's denominator has no real zero and its K-poles are complex
+    energy = 12.0
+    members = [PoleMember(1, 2, 0.2, 2.0, 0.8, -0.3), PoleMember(1, 1, 0.4, 11.0, 10.0, 0.3)]
+    table = synthetic(members, [exact_pole_general(2.0, 0.8, energy, -0.3), 50.0], energy)
+    eps0 = 3.0
+    assert np.iscomplexobj(_k_companion(table.members, energy, eps0))
+    got, messages = exact_roots(table, eps0)
+    assert messages == [] and len(got) > 0
+    assert_matches_oracle("complex K-poles", table, eps0, reference_scan(table, eps0), got,
+                          same_count=False)
+
+
+def test_root_in_the_window_of_a_singularity_is_dropped_with_a_warning():
+    # a weight of 1e-12 puts a root about 1e-12 from the singularity of its
+    # member: its window holds the singularity, so it is not certified
+    energy = 6.0
+    member = PoleMember(1, 1, 1e-12, 2.0, 0.5, -1.0)
+    singular = exact_pole_pair(2.0, 0.5, energy)
+    table = dataclasses.replace(synthetic([member], [singular[1]], energy), base_state=3)
+    eps0 = 1.0
+    got, messages = exact_roots(table, eps0)
+    assert len(messages) == 1
+    assert "base state 3" in messages[0] and re.search(r"\b[12] eigenvalue", messages[0])
+    for s in singular:
+        assert np.all(np.abs(got - s) > 1e-9 * max(1.0, abs(s)))
+    for r in got.tolist():
+        assert reference_certified(table, eps0, r)
+    assert np.min(np.abs(got - eps0)) < 1e-9        # the root near the line's eps0
+
+
+@pytest.mark.parametrize("cos_alpha", [1.0, -1.0])
+def test_root_at_e_where_k_is_zero(cos_alpha):
+    # f(E) = w/(E - eps0' - eps_p) - E + eps0 = 0.25 - 6 + 5.75 = 0 exactly
+    energy = 6.0
+    table = synthetic([PoleMember(1, 1, 0.5, 3.0, 1.0, cos_alpha)],
+                      [exact_pole_pair(3.0, 1.0, energy)[cos_alpha < 0]], energy)
+    eps0 = 5.75
+    assert reference_vnn(table, energy) - energy + eps0 == 0.0
+    got, messages = exact_roots(table, eps0)
+    assert messages == []
+    assert got[-1] == energy
+    assert_matches_oracle("root at E", table, eps0, reference_scan(table, eps0), got,
+                          same_count=False)
+
+
+@pytest.mark.parametrize("eps0", [-2.5, 4.0, 6.0])
+def test_table_without_members_has_the_one_root_eps0(eps0):
+    energy = 6.0
+    empty = Members(*(np.array([], dtype=dtype) for dtype in (int, int, float, float, float,
+                                                               float)))
+    table = PoleWeightTable(base_state=1, poles=np.array([]), weights=np.array([]),
+                            starts=np.array([0]), members=empty, merge_tol=0.0, mode="exact",
+                            total_energy=energy, spatial=True)
+    got, messages = exact_roots(table, eps0)
+    assert messages == []
+    assert len(got) == 1 and abs(got[0] - eps0) <= 1e-13 * max(1.0, abs(eps0))
+    # above E the line has no root on the eps <= E branch
+    assert len(exact_roots(table, energy + 1.0)[0]) == 0
+
+
+def test_two_members_with_one_singularity_report_no_root_at_it():
+    # two channels with the same level, eps_p and cos(alpha) share both
+    # singularities: the K-pole is double, and an eigenvalue lands on it
+    energy = 6.0
+    members = [PoleMember(1, 1, 0.3, 2.0, 0.5, -1.0), PoleMember(3, 2, 0.2, 2.0, 0.5, -1.0)]
+    singular = exact_pole_pair(2.0, 0.5, energy)
+    table = synthetic(members, [singular[1], singular[1]], energy)
+    eps0 = 1.0
+    got, messages = exact_roots(table, eps0)
+    for s in singular:
+        assert np.all(np.abs(got - s) > 1e-9 * max(1.0, abs(s)))
+    # the eigenvalue on the double K-pole is the one candidate dropped
+    assert len(messages) == 1 and "1 eigenvalue candidate(s) of base state 1" in messages[0]
+    assert_matches_oracle("shared singularity", table, eps0, reference_scan(table, eps0), got,
+                          same_count=False)
+
+
+def seed1_exact_tables():
+    """(label, table, eps0) of every exact-scan seed-1 op whose tables build."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_workloads", path)
+    workloads = sys.modules.setdefault(spec.name, importlib.util.module_from_spec(spec))
+    spec.loader.exec_module(workloads)
+    out = []
+    for op in workloads.exact_scan_ops(1):
+        model_spec = build_spec(op.doc)
+        bases = build_bases(model_spec)
+        try:
+            tables = [build_pole_weight_table(model_spec, bases, n)
+                      for n in range(1, model_spec.n_base + 1)]
+        except SolverError:         # a closed channel: exact pole needs E >= eps0
+            continue
+        out += [(op.label, t, float(bases.base.eigenvalues[t.base_state - 1])) for t in tables]
+    return out
+
+
+def sign_change(table, a, b):
+    """Members whose exact denominator changes sign between a and b."""
+    return [i for i, (da, db) in enumerate(zip(reference_denominators(table, a),
+                                               reference_denominators(table, b)))
+            if (da > 0.0) != (db > 0.0)]
+
+
+def test_scan_edges_are_the_real_k_poles_of_the_seed1_tables():
+    tables = seed1_exact_tables()
+    assert len(tables) == 114
+    for label, table, eps0 in tables:
+        edges = exact_scan_edges(table, eps0)
+        cuts = edges[1:-1]
+        # every cut is a member's singularity
+        for c in cuts:
+            h = 1e-9 * max(1.0, abs(c))
+            assert sign_change(table, c - h, c + h), (label, c)
+        # every table pole below E whose members do not vanish there is no cut
+        for p in table.poles.tolist():
+            h = 1e-9 * max(1.0, abs(p))
+            if edges[0] < p < table.total_energy and not sign_change(table, p - h, p + h):
+                assert all(abs(c - p) > h for c in cuts), (label, p)
+    # exact spatial Np=2 n'=6 Ns=1: its table pole 17.769830904200997 is
+    # listed for member (1, 6), whose denominator does not vanish there; the
+    # cut stays, because member (-1, 6) has its plus-branch singularity there
+    (label, table, eps0), = [(lb, t, e) for lb, t, e in tables
+                              if lb.startswith("exact spatial Np=2 n'=6 Ns=1")]
+    listed = 17.769830904200997
+    assert listed in table.poles.tolist()
+    h = 1e-9 * listed
+    labels = list(zip(table.members.channel.tolist(), table.members.n_prime.tolist()))
+    assert [labels[i] for i in sign_change(table, listed - h, listed + h)] == [(-1, 6)]
+    assert any(abs(c - listed) <= 1e-14 * listed for c in exact_scan_edges(table, eps0))
+
+
+def test_scan_edges_drop_a_listed_pole_that_is_no_singularity():
+    # the mirror of test_scan_cuts_at_unlisted_plus_branch_singularity: one
+    # cos(alpha) = +1 harmonic, n' = 4 level with 0 <= E - eps0' < eps_p; the
+    # table lists eps0' - eps_p + 2 sqrt(eps_p (E - eps0')), where that
+    # member's denominator has no zero, and no other member vanishes there
+    bump = {"kind": "gaussian", "height": 0.5, "center": 1.2, "width": 0.6}
+    cfg = spatial_config([{"index": 1, "amplitude": bump}], energy=8.3, period=6.5,
+                         n_prime=4, denominator="exact")
+    spec = build_spec(cfg)
+    bases = build_bases(spec)
+    table = build_pole_weight_table(spec, bases, 1)
+    eps0 = float(bases.base.eigenvalues[0])
+    m = table.members
+    assert 0.0 <= 8.3 - m.eps0_aux[-1] < m.eps_p[-1]
+    listed = exact_pole_pair(float(m.eps0_aux[-1]), float(m.eps_p[-1]), 8.3)[0]
+    assert listed in table.poles.tolist() and listed < 8.3
+    h = 1e-9 * max(1.0, abs(listed))
+    assert sign_change(table, listed - h, listed + h) == []
+    edges = exact_scan_edges(table, eps0)
+    assert all(abs(c - listed) > 1e-6 for c in edges)
+    assert len(edges) == len(table.poles) + 1      # lo, the other three poles, E
+    got, messages = exact_roots(table, eps0)
+    assert messages == []
+    assert_matches_oracle("plus-only drive", table, eps0, reference_scan(table, eps0), got,
+                          same_count=True)
