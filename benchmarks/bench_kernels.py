@@ -17,7 +17,9 @@ dimension of the K eigenproblem, the `_exact_vnn` calls and the energies
 they evaluate, and the `_refine` rounds. Every root is checked first: a
 plain float sum of the exact relation must change sign within
 1e-9*max(1,|root|) of it, with no denominator changing sign there (no pole).
-Then the timings (best of the repeats) are reported.
+Then the timings (best of the repeats) are reported. The run fails when the
+tables take more than 2 `_exact_vnn` calls each on average (one window check
+per table, and refine rounds only where an eigenvalue misses its root).
 """
 
 import argparse
@@ -166,6 +168,9 @@ def bench_exact_scan(repeats):
     total = [sum(c[i] for c in counts) for i in range(4)]
     print(f"{'total':<26}  {'':>3}  {'':>3}  {total[3]:>5}  {total[0]:>5}  {total[1]:>8}  "
           f"{total[2]:>6}  {sum(times) * 1e3:>7.2f}")
+    if total[0] > 2 * len(cases):
+        raise SystemExit(f"{total[0]} _exact_vnn calls for {len(cases)} exact tables: "
+                         f"more than 2 per table")
 
 
 def main():

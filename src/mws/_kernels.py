@@ -13,10 +13,10 @@ by safeguarded Newton steps inside the bracket (R.-C. Li, LAPACK Working
 Note 89, 1994). All intervals of all tables with the same pole count are
 handled as one set of arrays.
 
-`_pole_sums` is the one compensated evaluator of sum_j w_j/(x - p_j): the
-solver's residuals and the rational V_nn (`effpot._vnn`) go through it. The
-exact spatial V_nn (`effpot._exact_vnn`) takes `_compensated_sum`'s step one
-term at a time.
+`_compensated_sum` is the one compensated summation: the solver's residuals
+sum w_j/(x - p_j) through it (`_pole_sums`), and both forms of V_nn, the
+rational and the exact spatial one, sum their (energies x terms) blocks
+through it (`effpot._chunked_sum`).
 """
 
 from __future__ import annotations

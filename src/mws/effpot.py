@@ -379,20 +379,19 @@ def _exact_denominator(m: Members | ChannelTerms, eps, room):
     return eps - m.eps0_aux - m.eps_p - 2.0 * m.cos_alpha * np.sqrt(room * m.eps_p)
 
 
-_VNN_CHUNK = 512  # energies per (energies x poles) term block of the rational form
+_VNN_CHUNK = 512  # energies per (energies x terms) block of `_chunked_sum`
 
 
 def _vnn(table: PoleWeightTable, eps: np.ndarray) -> np.ndarray:
     """V_nn at every element of a 1-D array of energies, NaN where undefined.
 
-    The rational form (approx mode, temporal drives) sums the table's poles
-    by `_kernels._pole_sums`, the exact spatial form its members' square-root
-    denominators by `_exact_vnn`; both in table order with the same
-    compensated step, so each element rounds exactly as a one-energy
-    evaluation would. Elements within `proximity_tol()` of a pole, above E in
-    exact mode, or where an exact denominator vanishes are NaN. A zero
-    denominator needs no mask: its infinite term turns the compensation into
-    inf - inf.
+    The rational form (approx mode, temporal drives) sums w/(eps - p) over
+    the table's poles, the exact spatial form (`_exact_vnn`) w/d(eps) over
+    its members' square-root denominators; both go through `_chunked_sum`,
+    so each element rounds exactly as a one-energy evaluation would.
+    Elements within `proximity_tol()` of a pole, above E in exact mode, or
+    where an exact denominator vanishes are NaN. A zero denominator needs no
+    mask: its infinite term turns the compensation into inf - inf.
     """
     if not len(table.poles):
         return np.zeros(len(eps))
@@ -405,30 +404,26 @@ def _vnn(table: PoleWeightTable, eps: np.ndarray) -> np.ndarray:
         undefined |= eps > table.total_energy
         out = _exact_vnn(table.members, table.total_energy, eps)
     else:
-        out = np.empty(len(eps))
-        for start in range(0, len(eps), _VNN_CHUNK):
-            e = eps[start:start + _VNN_CHUNK]
-            out[start:start + _VNN_CHUNK] = _kernels._pole_sums(poles, table.weights, e)[0]
+        out = _chunked_sum(lambda e: table.weights / (e - poles), eps)
     out[undefined] = np.nan
     return out
 
 
 def _exact_vnn(m: Members, total_energy: float, eps: np.ndarray) -> np.ndarray:
-    """sum_t w_t / d_t(eps) over the members in table order, one member at a
-    time over all energies: each term enters running sums (s, c) by the
-    two-sum step of `_kernels._compensated_sum`, bit for bit."""
-    room = total_energy - eps
-    s = np.zeros(len(eps))
-    c = np.zeros(len(eps))
+    """sum_t w_t / d_t(eps) over the members in table order, d_t the exact
+    denominator `_exact_denominator`, by `_chunked_sum`."""
+    return _chunked_sum(lambda e: m.weight / _exact_denominator(m, e, total_energy - e), eps)
+
+
+def _chunked_sum(terms_of, eps: np.ndarray) -> np.ndarray:
+    """`_kernels._compensated_sum` of the (energies x terms) block
+    terms_of(e[:, None]), `_VNN_CHUNK` energies e of eps at a time."""
+    out = np.empty(len(eps))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for member in zip(*(column.tolist() for column in m)):
-            member = Members._make(member)
-            term = member.weight / _exact_denominator(member, eps, room)
-            t = s + term
-            back = t - s
-            c += (s - (t - back)) + (term - back)
-            s = t
-        return s + c
+        for start in range(0, len(eps), _VNN_CHUNK):
+            block = terms_of(eps[start:start + _VNN_CHUNK, None])
+            out[start:start + _VNN_CHUNK] = _kernels._compensated_sum(block)
+    return out
 
 
 def _negated_amplitude(spec: SystemSpec, index: int) -> np.ndarray:

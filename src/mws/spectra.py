@@ -195,10 +195,19 @@ def find_roots_exact(table: PoleWeightTable, epsilon0: float) -> np.ndarray:
     candidate is certified when its window [eps - h, min(eps + h, E)],
     h = 1e-9 max(1, |eps|), holds no sign change of any member's denominator
     and a sign change (or a zero) of f = V_nn - eps + eps0, both evaluated
-    by `effpot._exact_vnn`/`_exact_denominator`; `_refine` then polishes it
-    to 1e-13 max(1, |eps|). Candidates that fail the certificate are not
-    returned, and one warning per table names the base state and their
-    count. Tables without exact square-root denominators go to `find_roots`.
+    by `effpot._exact_vnn`/`_exact_denominator`. Candidates that fail the
+    certificate are not returned, and one warning per table names the base
+    state and their count. Tables without exact square-root denominators go
+    to `find_roots`.
+
+    The same one f call also takes the inner points eps -+ delta, delta =
+    0.49e-13 max(1, |eps|), clipped to the window, so the inner window is
+    narrower than `_refine`'s stop width; an eigenvalue on its root has its
+    sign change there. Each certified candidate hands `_refine` the
+    narrowest of [eps - h, eps - delta], [eps - delta, eps + delta],
+    [eps + delta, min(eps + h, E)] and the whole window that holds a sign
+    change (or a zero end), so only a root outside its inner window takes
+    refine rounds.
     """
     if not (table.spatial and table.mode == "exact"):
         return find_roots(table, epsilon0).roots
@@ -207,26 +216,30 @@ def find_roots_exact(table: PoleWeightTable, epsilon0: float) -> np.ndarray:
     k = np.linalg.eigvals(_k_companion(m, e, epsilon0))
     tol = 1e-8 * np.maximum(1.0, np.abs(k))
     eps = e - 0.5 * k.real[(k.real >= -tol) & (np.abs(k.imag) <= tol)] ** 2
-    h = 1e-9 * np.maximum(1.0, np.abs(eps))
-    lo, hi = eps - h, np.minimum(eps + h, e)
+    scale = np.maximum(1.0, np.abs(eps))
+    h, delta = 1e-9 * scale, 0.49e-13 * scale
+    hi = np.minimum(eps + h, e)
+    x = np.stack([eps - h, eps - delta, np.minimum(eps + delta, hi), hi])   # ascending
 
     def f(x: np.ndarray) -> np.ndarray:
         return _exact_vnn(m, e, x) - x + epsilon0
 
-    ends = np.concatenate([lo, hi])
-    positive = _exact_denominator(m, ends[:, None], (e - ends)[:, None]) > 0.0
-    f_ends = f(ends)
+    fx = f(x.ravel()).reshape(x.shape)
+    positive = _exact_denominator(m, x[[0, 3], :, None], (e - x[[0, 3]])[..., None]) > 0.0
+    ok = np.all(positive[0] == positive[1], axis=1) & (np.sign(fx[0]) * np.sign(fx[3]) <= 0.0)
     c = len(eps)
-    fa, fb = f_ends[:c], f_ends[c:]
-    ok = np.all(positive[:c] == positive[c:], axis=1) & (np.sign(fa) * np.sign(fb) <= 0.0)
     if not np.all(ok):
         warnings.warn(f"exact mode: {c - int(np.count_nonzero(ok))} eigenvalue "
                       f"candidate(s) of base state {table.base_state} failed the "
                       f"window certificate and are not returned", stacklevel=2)
-    lo, hi, fa, fb = lo[ok], hi[ok], fa[ok], fb[ok]
-    inner = (fa != 0.0) & (fb != 0.0)
-    roots = np.where(fa == 0.0, lo, hi)
-    roots[inner] = _refine(f, lo[inner], fa[inner], hi[inner], fb[inner])
+    x, fx = x[:, ok], fx[:, ok]
+    # the sub-windows [x[left], x[right]], then the whole window, which has a
+    # sign change: each candidate keeps the narrowest with one
+    left, right = np.array([0, 1, 2, 0]), np.array([1, 2, 3, 3])
+    change = np.sign(fx[left]) * np.sign(fx[right]) <= 0.0
+    pick = np.argmin(np.where(change, x[right] - x[left], np.inf), axis=0)
+    a, b, cols = left[pick], right[pick], np.arange(len(pick))
+    roots = _refine(f, x[a, cols], fx[a, cols], x[b, cols], fx[b, cols])
     roots.sort()
     # two candidates of one root: the second lies in the first one's window
     distinct = np.diff(roots) > 1e-9 * np.maximum(1.0, np.abs(roots[:-1]))
@@ -235,8 +248,11 @@ def find_roots_exact(table: PoleWeightTable, epsilon0: float) -> np.ndarray:
 
 def _refine(f, a: np.ndarray, fa: np.ndarray, b: np.ndarray, fb: np.ndarray) -> np.ndarray:
     """Refine every bracket [a, b] with f(a) = fa, f(b) = fb of opposite signs
-    at once by safeguarded regula falsi, 200 rounds at most.
+    (or a zero end) at once by safeguarded regula falsi, 200 rounds at most.
 
+    A bracket with an f == 0 end, or already within the stop width
+    b - a <= 1e-13 max(1, |a|), is finished before the first round and costs
+    no f evaluation: its root is that end (a first), or the midpoint.
     Each round evaluates f at one point per bracket: the regula falsi point,
     kept at least a quarter of the stop width inside each end (Brent's
     minimum step), or the midpoint when that point is NaN or outside [a, b],
@@ -251,8 +267,10 @@ def _refine(f, a: np.ndarray, fa: np.ndarray, b: np.ndarray, fb: np.ndarray) -> 
     b - a <= 1e-13 max(1, |a|), or after the last round, the root is the
     bracket's midpoint.
     """
-    root = np.empty(len(a))
-    idx = np.arange(len(a))
+    root = np.where(fa == 0.0, a, np.where(fb == 0.0, b, 0.5 * (a + b)))
+    keep = (fa != 0.0) & (fb != 0.0) & (b - a > 1e-13 * np.maximum(1.0, np.abs(a)))
+    a, fa, b, fb = a[keep], fa[keep], b[keep], fb[keep]
+    idx = np.flatnonzero(keep)
     neg_a = fa < 0.0
     kept = np.zeros(len(a), dtype=int)          # 1: a kept last round, 2: b kept
     undefined = np.zeros(len(a), dtype=bool)    # the last interpolant gave NaN

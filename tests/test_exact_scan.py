@@ -26,7 +26,7 @@ import pytest
 
 from conftest import fig_anchor_harmonics, gaussian, spatial_config, temporal_config, \
     weak_harmonics
-from mws.effpot import Members, PoleMember, PoleWeightTable, _vnn, build_bases, \
+from mws.effpot import _VNN_CHUNK, Members, PoleMember, PoleWeightTable, _vnn, build_bases, \
     build_pole_weight_table, exact_pole_general, exact_pole_pair, vnn_eval
 from mws.errors import PoleProximityError, SolverError
 from mws.model import build_spec
@@ -97,6 +97,12 @@ def reference_bisect(f, a, fa, b, fb):
 def reference_refine(f, a, fa, b, fb):
     """Scalar safeguarded regula falsi, step for step as `_refine`; f returns
     None where it is undefined."""
+    if fa == 0.0:
+        return a
+    if fb == 0.0:
+        return b
+    if b - a <= 1e-13 * max(1.0, abs(a)):
+        return 0.5 * (a + b)
     neg_a = fa < 0.0
     kept = 0                    # 1: a kept last round, 2: b kept
     undefined = False
@@ -426,6 +432,22 @@ def test_refine_exits_match_scalar(f, a, b, root, rounds):
         assert want == root
 
 
+def test_refine_finishes_zero_end_and_narrow_brackets_without_evaluating():
+    # an f == 0 end (a, then b), and a bracket 1.5e-13 wide at |a| = 2,
+    # inside the stop width 2e-13
+    a = np.array([0.0, 1.0, 2.0])
+    fa = np.array([0.0, 1.0, 1.0])
+    b = np.array([1.0, 2.0, 2.0 + 1.5e-13])
+    fb = np.array([-1.0, 0.0, -1.0])
+    calls = []
+    got = _refine(counted(lambda x: 1.0 - x, calls), a, fa, b, fb)
+    assert calls == []
+    assert got.tolist() == [reference_refine(None, *bracket)
+                            for bracket in zip(a.tolist(), fa.tolist(), b.tolist(),
+                                               fb.tolist())]
+    assert got.tolist() == [0.0, 2.0, 0.5 * (2.0 + (2.0 + 1.5e-13))]
+
+
 @pytest.mark.parametrize("f,a,b", [
     # a steep 1/(x - p) side with the root 1e-6 from the pole p = 0
     (lambda x: 1e-6 / x - 1.0, 1e-12, 10.0),
@@ -449,6 +471,103 @@ def test_refine_certifies_adversarial_brackets(f, a, b):
     width = 1e-13 * max(1.0, abs(root))
     lo, hi = np.array([root - width]), np.array([min(root + width, b)])
     assert f(lo)[0] * f(hi)[0] <= 0.0
+
+
+def recording_refine(monkeypatch, wide):
+    """Patch `_refine` to append, per call, whether each bracket handed to it
+    is wider than its stop width (so it takes rounds)."""
+    refine = mws.spectra._refine
+
+    def recording(f, a, fa, b, fb):
+        wide.append(b - a > 1e-13 * np.maximum(1.0, np.abs(a)))
+        return refine(f, a, fa, b, fb)
+
+    monkeypatch.setattr(mws.spectra, "_refine", recording)
+
+
+def counting_exact_vnn(monkeypatch, calls):
+    vnn = mws.spectra._exact_vnn
+
+    def counting(*args):
+        calls.append(1)
+        return vnn(*args)
+
+    monkeypatch.setattr(mws.spectra, "_exact_vnn", counting)
+
+
+def test_exact_vnn_calls_per_table(monkeypatch):
+    calls, wide = [], []
+    counting_exact_vnn(monkeypatch, calls)
+    recording_refine(monkeypatch, wide)
+    # every candidate of this table certifies inside eps -+ delta: the one
+    # f call of the window check is all it takes
+    (_, table, eps0), = [c for c in CASES if c[0] == "Np=4 n'=4 Ns=1 E=9.0 n=1"]
+    assert len(find_roots_exact(table, eps0)) == 17
+    assert len(calls) == 1 and not np.any(wide)
+    calls.clear()
+    spec = [(table, eps0) for label, table, eps0 in CASES if label in SPEC_LABELS]
+    assert len(spec) == 81
+    for table, eps0 in spec:
+        find_roots_exact(table, eps0)
+    assert len(calls) <= 2 * len(spec), len(calls)
+
+
+def test_moved_eigenvalues_still_give_every_root_through_refine(monkeypatch):
+    # every companion eigenvalue moved by 1e-11 relative moves each candidate
+    # by about K^2 1e-11 in eps, off its inner window eps -+ delta but inside
+    # its window (h = 1e-9 max(1, |eps|)); on "wide intervals" (E = 5000)
+    # that move, about 1e-7, leaves the window, so that table is not used
+    cases = [c for c in CASES if c[0] != "wide intervals"]
+    want = {label: exact_roots(table, eps0) for label, table, eps0 in cases}
+    eigvals = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda mat: eigvals(mat) * (1.0 + 1e-11))
+    wide = []
+    recording_refine(monkeypatch, wide)
+    for label, table, eps0 in cases:
+        wide.clear()
+        got, messages = exact_roots(table, eps0)
+        roots, unpatched_messages = want[label]
+        assert messages == unpatched_messages, label
+        assert len(got) == len(roots), label
+        assert np.all(np.abs(got - roots) <= 1e-13 * np.maximum(1.0, np.abs(roots))), label
+        # no inner window certified: every root took _refine's rounds
+        assert len(wide) == 1 and np.all(wide[0]), label
+
+
+def raises(table, x):
+    """Whether the scalar V_nn raises at x."""
+    try:
+        reference_vnn(table, x)
+    except SolverError:
+        return True
+    return False
+
+
+CHUNK_CASES = [c for c in VNN_CASES if c[0] in ("Np=4 n'=4 Ns=2 E=14.5 n=1",
+                                                "approx Np=4 n'=4 n=1", "temporal n'=4 n=2")]
+
+
+@pytest.mark.parametrize("label,table,eps0", CHUNK_CASES, ids=[c[0] for c in CHUNK_CASES])
+def test_chunked_vnn_matches_one_energy_evaluation(label, table, eps0):
+    # 2 _VNN_CHUNK + 3 energies: the probe points (poles, pole bands, E and
+    # above) shuffled among evenly spaced ones, each block led by an energy
+    # where the scalar V_nn raises
+    probes = probe_points(table, eps0)
+    undefined = np.array([raises(table, x) for x in probes.tolist()])
+    fill = np.linspace(min(eps0, *table.poles) - 3.0, table.total_energy + 1.0,
+                       2 * _VNN_CHUNK + 3 - len(probes))
+    rest = np.concatenate([probes[undefined][3:], probes[~undefined], fill])
+    xs = np.insert(np.random.default_rng(5).permutation(rest),
+                   [0, _VNN_CHUNK - 1, 2 * _VNN_CHUNK - 2], probes[undefined][:3])
+    got = _vnn(table, xs)
+    one = np.array([_vnn(table, xs[i:i + 1])[0] for i in range(len(xs))])
+    nan = np.isnan(got)
+    assert np.array_equal(nan, np.isnan(one))
+    assert len(xs) == 2 * _VNN_CHUNK + 3 and nan[[0, _VNN_CHUNK, 2 * _VNN_CHUNK]].all()
+    assert got[~nan].tobytes() == one[~nan].tobytes()
+    defined = xs[~nan]
+    assert vnn_eval(table, defined).tobytes() == \
+        np.array([vnn_eval(table, float(x)) for x in defined]).tobytes()
 
 
 @pytest.mark.parametrize("label,table,eps0", VNN_CASES, ids=[c[0] for c in VNN_CASES])
