@@ -24,7 +24,7 @@ from mws.model import SystemSpec, build_spec
 from mws.oracle import coupled_matrix_diagonalization, run_all_oracles, \
     subset_recovery_distance
 from mws.reconstruct import assemble_wavefunction
-from mws.spectra import exact_scan_edges, group_realisations, realisation_separation, \
+from mws.spectra import curve_edges, group_realisations, realisation_separation, \
     solve_spectrum
 
 EXIT_OK = 0
@@ -68,17 +68,9 @@ def _load_config(path: str) -> tuple[dict, str]:
     digest = hashlib.sha256(raw_bytes).hexdigest()
     try:
         doc = json.loads(raw_bytes)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:   # malformed JSON or undecodable bytes
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     return doc, digest
-
-
-def _apply_overrides(doc: dict, args) -> dict:
-    modes = dict(doc.get("modes", {}))
-    for flag, key in (("mode", "denominator"), ("backend", "basis")):
-        if getattr(args, flag, None) is not None:
-            modes[key] = getattr(args, flag)
-    return dict(doc, modes=modes)
 
 
 def _manifest(out_dir: Path, subcommand: str, digest: str, outputs: list[str],
@@ -217,25 +209,15 @@ def cmd_figure1(spec: SystemSpec, doc: dict, out_dir: Path, args) -> list[str]:
     root_rows = []
     for st in solve_spectrum(spec).states:
         n, eps0, table = st.n, st.epsilon0, st.table
-        poles = table.poles
         asym_rows += [[str(n), p, str(g), str(k)] for p, g, k in
-                      zip(np.repeat(poles, np.diff(table.starts)).tolist(),
+                      zip(np.repeat(table.poles, np.diff(table.starts)).tolist(),
                           table.members.channel.tolist(), table.members.n_prime.tolist())]
         for j, r in enumerate(st.roots, start=1):
             root_rows.append([str(n), str(j), r])
 
-        if table.spatial and table.mode == "exact":
-            # the exact relation ends at E, so the curve ends where the scan does
-            edges = exact_scan_edges(table, eps0)
-            segments = [(a, b, b - a) for a, b in zip(edges[:-1], edges[1:])]
-        elif len(poles) == 0:
-            segments = [(eps0 - 1.0, eps0 + 1.0, 2.0)]
-        else:
-            margin = max(float(poles[-1] - poles[0]), 1.0)
-            edges = [poles[0] - margin] + list(poles) + [poles[-1] + margin]
-            segments = [(a, b, b - a) for a, b in zip(edges[:-1], edges[1:])]
-        xs = np.concatenate([np.linspace(a + 1e-4 * gap, b - 1e-4 * gap, per_interval)
-                             for a, b, gap in segments])
+        edges = curve_edges(table, eps0)
+        xs = np.concatenate([np.linspace(a + 1e-4 * (b - a), b - 1e-4 * (b - a), per_interval)
+                             for a, b in zip(edges, edges[1:])])
         curve_rows += [[str(n), eps, v, eps - eps0] for eps, v in
                        zip(xs.tolist(), vnn_eval(table, xs).tolist())]
 
@@ -245,22 +227,22 @@ def cmd_figure1(spec: SystemSpec, doc: dict, out_dir: Path, args) -> list[str]:
     return ["curve.csv", "asymptotes.csv", "intersections.csv"]
 
 
-def _set_by_path(doc: dict, dotted: str, value: float) -> dict:
-    keys = dotted.split(".")
+def _set_by_path(doc, dotted: str, value):
+    """A deep copy of doc with value at the dotted path, whose list elements
+    go by index. A missing object key on the way is created (build_spec then
+    names an undocumented one); every other misfit is a ConfigError."""
     out = json.loads(json.dumps(doc))  # deep copy
-    node = out
-    for key in keys[:-1]:
-        if isinstance(node, list):
-            node = node[int(key)]
-        elif key in node:
-            node = node[key]
+    node, keys = out, dotted.split(".")
+    for depth, key in enumerate(keys, start=1):
+        if isinstance(node, list) and key.isdecimal() and int(key) < len(node):
+            key = int(key)
+        elif not isinstance(node, dict):
+            where = ".".join(keys[:depth - 1]) or "the config root"
+            raise ConfigError(f"cannot set {dotted}: {where} has no element {key!r}")
+        if depth == len(keys):
+            node[key] = value
         else:
-            raise ConfigError(f"sweep path segment {key!r} not found in config")
-    last = keys[-1]
-    if isinstance(node, list):
-        node[int(last)] = value
-    else:
-        node[last] = value
+            node = node.setdefault(key, {}) if isinstance(node, dict) else node[key]
     return out
 
 
@@ -269,8 +251,9 @@ def cmd_sweep(spec: SystemSpec, doc: dict, out_dir: Path, args) -> list[str]:
         raise ConfigError("the sweep subcommand needs --param")
     if not args.values:
         raise ConfigError("the sweep subcommand needs a nonempty --values list")
-    try:
-        values = [float(v) for v in args.values.split(",") if v.strip() != ""]
+    try:   # an integer literal stays an int, so integer keys (truncation.n_prime) sweep too
+        values = [int(v) if v.strip().lstrip("+-").isdecimal() else float(v)
+                  for v in args.values.split(",") if v.strip() != ""]
     except ValueError as exc:
         raise ConfigError(f"--values must be comma-separated numbers: {exc}") from exc
     if not values:
@@ -354,7 +337,9 @@ def main(argv=None) -> int:
             if count is not None and count < 1:
                 raise ConfigError(f"--{flag} must be >= 1, got {count}")
         doc, digest = _load_config(args.config)
-        doc = _apply_overrides(doc, args)
+        for flag, path in (("mode", "modes.denominator"), ("backend", "modes.basis")):
+            if getattr(args, flag, None) is not None:
+                doc = _set_by_path(doc, path, getattr(args, flag))
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         spec = build_spec(doc)

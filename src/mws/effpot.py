@@ -98,9 +98,8 @@ class PoleWeightTable:
     starts: np.ndarray                 # entry i holds members starts[i]:starts[i+1]
     members: Members
     merge_tol: float
-    mode: str                          # "approx" | "exact"
+    exact_spatial: bool                # square-root denominators (SystemSpec.exact_spatial)
     total_energy: float
-    spatial: bool
 
     def __post_init__(self) -> None:
         for arr in (self.poles, self.weights, self.starts, *self.members):
@@ -136,51 +135,42 @@ def merge_poles(sorted_poles: np.ndarray,
     return merge_tol, np.array(starts + [len(poles)]), np.array(sums)
 
 
-def pole_position(spec: SystemSpec, channel: ChannelEnergy, eps0_aux: float,
-                  mode: str | None = None) -> float:
-    """Singularity position for one (channel, auxiliary-eigenvalue) term."""
-    if mode is None:
-        mode = spec.denominator_mode
+def pole_position(spec: SystemSpec, channel: ChannelEnergy, eps0_aux: float) -> float:
+    """Singularity position for one (channel, eps0') term under the spec mode."""
     if not spec.is_spatial:
         # linear denominator: same position in both modes
         return eps0_aux + channel.wavenumber
     eps_p = channel.epsilon_p
     e = spec.total_energy
-    if mode == "approx":
-        arg = e * eps_p
-        if arg < 0.0:
-            raise SolverError(
-                f"approximate pole needs E*eps_p >= 0, got E={e!r}, eps_p={eps_p!r}"
-            )
-        return eps0_aux + eps_p + 2.0 * channel.cos_alpha * math.sqrt(arg)
-    if mode == "exact":
-        arg = eps_p * (e - eps0_aux)
-        if arg < 0.0:
-            raise SolverError(
-                f"exact pole needs E >= eps0 (E={e!r}, eps0={eps0_aux!r})"
-            )
-        return eps0_aux - eps_p + 2.0 * channel.cos_alpha * math.sqrt(arg)
-    raise UnsupportedModeError(f"unknown denominator mode {mode!r}")
+    if spec.exact_spatial:
+        return exact_pole_general(eps0_aux, eps_p, e, channel.cos_alpha)
+    arg = e * eps_p
+    if arg < 0.0:
+        raise SolverError(
+            f"approximate pole needs E*eps_p >= 0, got E={e!r}, eps_p={eps_p!r}"
+        )
+    return eps0_aux + eps_p + 2.0 * channel.cos_alpha * math.sqrt(arg)
 
 
 def exact_pole_pair(eps0_aux: float, eps_p: float, total_energy: float) -> tuple[float, float]:
-    """Both exact-mode singularities (plus branch, minus branch)."""
-    arg = eps_p * (total_energy - eps0_aux)
-    if arg < 0.0:
-        raise SolverError(
-            f"exact pole pair needs E >= eps0 (E={total_energy!r}, eps0={eps0_aux!r})"
-        )
-    s = 2.0 * math.sqrt(arg)
-    return eps0_aux - eps_p + s, eps0_aux - eps_p - s
+    """Both exact-mode singularities (plus branch, minus branch): `exact_pole_general`
+    at cos(alpha) = +1 and -1, raising its SolverError when E < eps0."""
+    return (exact_pole_general(eps0_aux, eps_p, total_energy, 1.0),
+            exact_pole_general(eps0_aux, eps_p, total_energy, -1.0))
 
 
 def exact_pole_general(eps0_aux: float, eps_p: float, total_energy: float,
                        cos_alpha: float) -> float:
-    """General-angle singularity; reduces to the 1D pair at cos^2(alpha) = 1."""
+    """The one exact-mode singularity formula; eps0' - eps_p +- 2 sqrt(eps_p (E - eps0'))
+    at cos^2(alpha) = 1. SolverError "exact pole needs E >= eps0 (E=..., eps0=...)"
+    where the square root's argument is negative; at cos^2(alpha) < 1 the
+    bound on E also includes eps_p sin^2(alpha)."""
     sin2 = 1.0 - cos_alpha * cos_alpha
     arg = eps_p * (total_energy - eps_p * sin2 - eps0_aux)
     if arg < 0.0:
-        raise SolverError("negative square-root argument in general pole form")
+        raise SolverError(
+            f"exact pole needs E >= eps0 (E={total_energy!r}, eps0={eps0_aux!r})"
+        )
     return eps0_aux + eps_p * (1.0 - 2.0 * cos_alpha * cos_alpha) \
         + 2.0 * cos_alpha * math.sqrt(arg)
 
@@ -248,7 +238,7 @@ class ChannelTerms:
         if not len(self.poles):
             return np.zeros(0)
         e = self.spec.total_energy
-        if self.spec.is_spatial and self.spec.denominator_mode == "exact":
+        if self.spec.exact_spatial:
             if epsilon > e:
                 raise SolverError(f"exact mode requires epsilon <= E, got {epsilon!r}")
             d = _exact_denominator(self, epsilon, e - epsilon)
@@ -327,9 +317,8 @@ def _build_tables(spec: SystemSpec, bases: ChannelBases, ns) -> list[PoleWeightT
             starts=starts,
             members=members,
             merge_tol=merge_tol,
-            mode=spec.denominator_mode,
+            exact_spatial=spec.exact_spatial,
             total_energy=spec.total_energy,
-            spatial=spec.is_spatial,
         ))
     return tables
 
@@ -359,7 +348,7 @@ def _raise_undefined(table: PoleWeightTable, epsilon: float) -> None:
         raise PoleProximityError(
             f"epsilon {epsilon!r} is within {tol!r} of pole {poles[nearest]!r}"
         )
-    if table.mode == "approx" or not table.spatial:
+    if not table.exact_spatial:
         return
     e = table.total_energy
     if epsilon > e:
@@ -400,7 +389,7 @@ def _vnn(table: PoleWeightTable, eps: np.ndarray) -> np.ndarray:
     left = np.maximum(right - 1, 0)
     gap = np.minimum(np.abs(poles[left] - eps), np.abs(poles[right] - eps))
     undefined = gap <= table.proximity_tol()
-    if table.spatial and table.mode == "exact":
+    if table.exact_spatial:
         undefined |= eps > table.total_energy
         out = _exact_vnn(table.members, table.total_energy, eps)
     else:

@@ -103,6 +103,12 @@ class SystemSpec:
         return isinstance(self.perturbation, SpatialPeriodic)
 
     @property
+    def exact_spatial(self) -> bool:
+        """Square-root channel denominators: exact mode on a spatial drive.
+        Time-periodic denominators are linear in both modes."""
+        return self.denominator_mode == "exact" and self.is_spatial
+
+    @property
     def n_harmonics(self) -> int:
         """N_p, the number of retained harmonics."""
         return len(self.harmonics)
@@ -146,12 +152,10 @@ class ChannelEnergy:
 
 
 def _as_complex_scalar(value: Any, where: str) -> complex:
-    if isinstance(value, (int, float)):
-        return complex(value)
-    if isinstance(value, (list, tuple)) and len(value) == 2:
-        re, im = value
-        if isinstance(re, (int, float)) and isinstance(im, (int, float)):
-            return complex(re, im)
+    re, im = value if isinstance(value, (list, tuple)) and len(value) == 2 else (value, 0.0)
+    if isinstance(re, (int, float)) and isinstance(im, (int, float)) \
+            and bool not in (type(re), type(im)):
+        return complex(re, im)   # complex(x, 0.0) is complex(x) bit for bit
     raise ConfigError(f"{where}: expected a number or a [re, im] pair, got {value!r}")
 
 
@@ -172,13 +176,13 @@ def sample_profile(doc: Mapping[str, Any], x: np.ndarray, where: str,
         out = np.full(x.shape, c, dtype=complex)
     elif kind == "cosine":
         a = _as_complex_scalar(doc.get("amplitude", 1.0), f"{where}.amplitude")
-        cycles = float(doc.get("cycles", 1.0))
-        phase = float(doc.get("phase", 0.0))
+        cycles = _get(doc, "cycles", where, float, 1.0)
+        phase = _get(doc, "phase", where, float, 0.0)
         out = a * np.cos(2.0 * np.pi * cycles * x / length + phase)
     elif kind == "gaussian":
         h = _as_complex_scalar(doc.get("height", 1.0), f"{where}.height")
-        center = float(doc.get("center", 0.5 * length))
-        width = float(doc.get("width", 0.1 * length))
+        center = _get(doc, "center", where, float, 0.5 * length)
+        width = _get(doc, "width", where, float, 0.1 * length)
         if width <= 0:
             raise ConfigError(f"{where}.width must be > 0")
         out = h * np.exp(-((x - center) ** 2) / (2.0 * width * width))
@@ -197,11 +201,28 @@ def sample_profile(doc: Mapping[str, Any], x: np.ndarray, where: str,
     return np.ascontiguousarray(out)
 
 
-def _require(doc: Mapping[str, Any], key: str, where: str) -> Any:
+# documented JSON type -> (its name, the Python types that hold it); no bool is a number
+_JSON_TYPES = {float: ("a number", (int, float)), int: ("an integer", int), bool: ("a bool", bool)}
+
+
+def _get(doc: Mapping[str, Any], key: str, where: str, kind: type | None = None,
+         default: Any = None) -> Any:
+    """doc[key], or `default` when the key is absent (a ConfigError when
+    `default` is None). With `kind` float, int or bool the value must have
+    that JSON type, else a ConfigError names its dotted path; it comes back
+    as `kind`."""
     if key not in doc:
-        raise ConfigError(f"missing required key {where}.{key}" if where else
-                          f"missing required key {key}")
-    return doc[key]
+        if default is None:
+            raise ConfigError(f"missing required key {where}.{key}" if where else
+                              f"missing required key {key}")
+        return default
+    value = doc[key]
+    if kind is None:
+        return value
+    name, types = _JSON_TYPES[kind]
+    if isinstance(value, types) and (type(value) is bool) is (kind is bool):
+        return kind(value)
+    raise ConfigError(f"{where}.{key} must be {name}, got {value!r}")
 
 
 def _known_keys(doc: Any, where: str, known: Sequence[str]) -> Mapping[str, Any]:
@@ -216,7 +237,7 @@ def _known_keys(doc: Any, where: str, known: Sequence[str]) -> Mapping[str, Any]
 
 
 def _section(raw: Mapping[str, Any], key: str) -> Mapping[str, Any]:
-    return _known_keys(_require(raw, key, ""), key, _SECTION_KEYS[key])
+    return _known_keys(_get(raw, key, ""), key, _SECTION_KEYS[key])
 
 
 def build_spec(raw: Mapping[str, Any]) -> SystemSpec:
@@ -228,14 +249,14 @@ def build_spec(raw: Mapping[str, Any]) -> SystemSpec:
     _known_keys(raw, "", _TOP_KEYS)
     box = _section(raw, "box")
     grid = _section(raw, "grid")
-    length = float(_require(box, "length", "box"))
+    length = _get(box, "length", "box", float)
     if not (length > 0):
         raise ConfigError("box.length must be > 0")
-    n_x = int(_require(grid, "points", "grid"))
+    n_x = _get(grid, "points", "grid", int)
 
     trunc = _section(raw, "truncation")
-    n_base = int(_require(trunc, "n_base", "truncation"))
-    n_prime = int(_require(trunc, "n_prime", "truncation"))
+    n_base = _get(trunc, "n_base", "truncation", int)
+    n_prime = _get(trunc, "n_prime", "truncation", int)
     if n_base < 1:
         raise ConfigError("truncation.n_base must be >= 1")
     if n_prime < 1:
@@ -246,29 +267,29 @@ def build_spec(raw: Mapping[str, Any]) -> SystemSpec:
         )
 
     x = np.linspace(0.0, length, n_x)
-    v0 = sample_profile(_require(raw, "base_potential", ""), x, "base_potential",
+    v0 = sample_profile(_get(raw, "base_potential", ""), x, "base_potential",
                         real_only=True)
 
-    pert = _require(raw, "perturbation", "")
+    pert = _get(raw, "perturbation", "")
     kind = pert.get("kind") if isinstance(pert, Mapping) else None
     if not isinstance(kind, str) or kind not in _PERTURBATION_KEYS:
         raise ConfigError(f"perturbation.kind must be 'spatial' or 'temporal', got {kind!r}")
     _known_keys(pert, "perturbation", _PERTURBATION_KEYS[kind])
     if kind == "spatial":
-        d_p = float(_require(pert, "period", "perturbation"))
+        d_p = _get(pert, "period", "perturbation", float)
         if not (d_p > 0):
             raise ConfigError("perturbation.period must be > 0")
-        if float(pert.get("bloch_wavenumber", 0.0)) != 0.0:
+        if _get(pert, "bloch_wavenumber", "perturbation", float, 0.0) != 0.0:
             raise ConfigError("perturbation.bloch_wavenumber must be 0: the reconstructed "
                               "field takes its wavenumber from each root")
         perturbation: SpatialPeriodic | TimePeriodic = SpatialPeriodic(d_p)
     else:
-        omega = float(_require(pert, "angular_frequency", "perturbation"))
+        omega = _get(pert, "angular_frequency", "perturbation", float)
         if not (omega > 0):
             raise ConfigError("perturbation.angular_frequency must be > 0")
         perturbation = TimePeriodic(omega)
 
-    scale = float(pert.get("scale", 1.0))
+    scale = _get(pert, "scale", "perturbation", float, 1.0)
     raw_harmonics = pert.get("harmonics", [])
     if not isinstance(raw_harmonics, Sequence):
         raise ConfigError("perturbation.harmonics must be a list")
@@ -276,19 +297,17 @@ def build_spec(raw: Mapping[str, Any]) -> SystemSpec:
     harmonics = []
     for i, hdoc in enumerate(raw_harmonics):
         where = f"perturbation.harmonics[{i}]"
-        idx = _require(_known_keys(hdoc, where, _HARMONIC_KEYS), "index", where)
-        if not isinstance(idx, int) or isinstance(idx, bool):
-            raise ConfigError(f"{where}.index must be an integer")
+        idx = _get(_known_keys(hdoc, where, _HARMONIC_KEYS), "index", where, int)
         if idx == 0:
             raise ConfigError(f"{where}: zero harmonic index is forbidden")
         if idx in seen:
             raise ConfigError(f"{where}: duplicate harmonic index {idx}")
         seen.add(idx)
-        amp = sample_profile(_require(hdoc, "amplitude", where), x, f"{where}.amplitude")
+        amp = sample_profile(_get(hdoc, "amplitude", where), x, f"{where}.amplitude")
         harmonics.append(Harmonic(idx, scale * amp))
     harmonics.sort(key=lambda h: h.index)
 
-    energy = float(_require(_section(raw, "energy"), "total", "energy"))
+    energy = _get(_section(raw, "energy"), "total", "energy", float)
 
     modes = _known_keys(raw.get("modes", {}), "modes", _SECTION_KEYS["modes"])
     denom = modes.get("denominator", "approx")
@@ -300,7 +319,7 @@ def build_spec(raw: Mapping[str, Any]) -> SystemSpec:
     if backend == "v1" and kind != "temporal":
         raise ConfigError("modes.basis 'v1' requires perturbation.kind 'temporal'")
 
-    declared_real = bool(pert.get("real", False))
+    declared_real = _get(pert, "real", "perturbation", bool, False)
     spec = SystemSpec(
         box_length=length,
         grid_points=n_x,

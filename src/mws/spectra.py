@@ -110,7 +110,7 @@ def _solve_rational(tables: list[tuple[np.ndarray, np.ndarray, float]],
 def find_roots(table: PoleWeightTable, epsilon0: float) -> RootSet:
     """All roots of V_nn(eps) = eps - eps0, one per pole-bounded interval;
     SolverError if they fail the gate (`_assert_rootset`)."""
-    if table.mode == "exact" and table.spatial:
+    if table.exact_spatial:
         raise UnsupportedModeError(
             "guaranteed root finding needs the rational (approximate) form; "
             "use find_roots_exact"
@@ -128,14 +128,21 @@ def _k_poles(m: Members, total_energy: float) -> tuple[np.ndarray, np.ndarray]:
     return g, r
 
 
-def exact_scan_edges(table: PoleWeightTable, epsilon0: float) -> list[float]:
-    """Edges of figure1's exact curve: a lower bound, the singularities below
-    E, E.
+def curve_edges(table: PoleWeightTable, epsilon0: float) -> list[float]:
+    """Edges of figure1's curve segments, ascending: a rational table's poles
+    with a margin max(spread, 1) each side (epsilon0 -+ 1 without poles); for
+    an exact spatial table a lower bound, the singularities below E, and E.
 
     The singularities are the real K-poles q = -G +- R > 0 of `_k_poles`,
     at eps = E - q^2/2; a member whose K-poles are all negative or complex
     has no zero on the eps <= E branch, whatever its table pole says.
     """
+    if not table.exact_spatial:
+        poles = table.poles.tolist()
+        if not poles:
+            return [epsilon0 - 1.0, epsilon0 + 1.0]
+        margin = max(poles[-1] - poles[0], 1.0)
+        return [poles[0] - margin] + poles + [poles[-1] + margin]
     e = table.total_energy
     g, r = _k_poles(table.members, e)
     q = np.concatenate([-g + r, -g - r])
@@ -145,10 +152,9 @@ def exact_scan_edges(table: PoleWeightTable, epsilon0: float) -> list[float]:
         lo = min(poles[0], epsilon0) - (poles[-1] - poles[0] + 1.0)
     else:
         lo = epsilon0 - 1.0
-    hi = e
-    if hi <= lo:
-        lo = hi - max(1.0, abs(hi))
-    return [lo] + [p for p in poles if lo < p < hi] + [hi]
+    if e <= lo:
+        lo = e - max(1.0, abs(e))
+    return [lo] + [p for p in poles if lo < p < e] + [e]
 
 
 def _k_companion(m: Members, total_energy: float, epsilon0: float) -> np.ndarray:
@@ -209,7 +215,7 @@ def find_roots_exact(table: PoleWeightTable, epsilon0: float) -> np.ndarray:
     change (or a zero end), so only a root outside its inner window takes
     refine rounds.
     """
-    if not (table.spatial and table.mode == "exact"):
+    if not table.exact_spatial:
         return find_roots(table, epsilon0).roots
     e = table.total_energy
     m = table.members
@@ -368,11 +374,10 @@ def solve_spectrum(spec: SystemSpec) -> SpectrumResult:
     """
     bases = build_bases(spec)
     counts = count_solutions(spec)
-    exact_spatial = spec.denominator_mode == "exact" and spec.is_spatial
     ns = range(1, spec.n_base + 1)
     tables = build_pole_weight_tables(spec, bases)
     eps0s = [float(bases.base.eigenvalues[n - 1]) for n in ns]
-    if exact_spatial:
+    if spec.exact_spatial:
         rootsets = []
         for table, eps0 in zip(tables, eps0s):
             roots = find_roots_exact(table, eps0)
@@ -386,7 +391,7 @@ def solve_spectrum(spec: SystemSpec) -> SpectrumResult:
                    for n, e, t, rs in zip(ns, eps0s, tables, rootsets))
     observed = sum(len(st.roots) for st in states)
     deficit = counts.n_max - observed
-    if not exact_spatial and deficit > 0:
+    if not spec.exact_spatial and deficit > 0:
         warnings.warn(
             f"root count {observed} falls {deficit} short of the nominal "
             f"{counts.n_max} (merged or zero-weight poles)",

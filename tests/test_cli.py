@@ -14,7 +14,7 @@ from mws.cli import _write_csv, main
 from mws.effpot import PoleWeightTable, build_bases, build_pole_weight_table, \
     build_pole_weight_tables, vnn_eval
 from mws.model import build_spec
-from mws.spectra import exact_scan_edges, find_roots_exact
+from mws.spectra import curve_edges, find_roots_exact
 
 DOC_CONFIGS = Path(__file__).resolve().parents[1] / "perfbench" / "configs"
 
@@ -133,6 +133,34 @@ def test_undocumented_key_is_config_error(tmp_path, capsys, parent, good, bad, p
     node[bad] = node.pop(good)
     cfg_path = write_config(tmp_path, cfg)
     assert run(["spectrum", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "ConfigError"
+    assert path in err["message"]
+
+
+def _anchor_bytes(**patch):
+    return json.dumps(dict(spatial_config(fig_anchor_harmonics()), **patch)).encode()
+
+
+def _sweep(param):
+    return ["sweep", "--param", param, "--values", "1"]
+
+
+@pytest.mark.parametrize("raw,argv,path", [
+    (b"[1, 2]", ["basis"], "config root"),
+    (_anchor_bytes(modes="exact"), ["spectrum", "--mode", "exact"], "modes"),
+    (_anchor_bytes(modes=["a"]), ["basis"], "modes"),
+    (b"\xff\xfe{", ["spectrum"], "config is not valid JSON"),
+    (_anchor_bytes(), _sweep("perturbation.harmonics.x.index"), "perturbation.harmonics"),
+    (_anchor_bytes(), _sweep("perturbation.harmonics.9.index"), "perturbation.harmonics"),
+    (_anchor_bytes(), _sweep("box.length.x"), "box.length"),
+], ids=("list-root", "modes-string", "modes-list", "undecodable", "sweep-word-index",
+        "sweep-index-out-of-range", "sweep-into-number"))
+def test_malformed_config_is_config_error(tmp_path, capsys, raw, argv, path):
+    # a config error each: the JSON record and exit 2, never a traceback (exit 1)
+    cfg = tmp_path / "config.json"
+    cfg.write_bytes(raw)
+    assert run(argv[:1] + ["--config", str(cfg), "--out", str(tmp_path / "o")] + argv[1:]) == 2
     err = json.loads(capsys.readouterr().err.strip())
     assert err["error"] == "ConfigError"
     assert path in err["message"]
@@ -312,8 +340,8 @@ def write_curve_per_point(path, spec, per_interval):
     for n, table in enumerate(build_pole_weight_tables(spec, bases), start=1):
         eps0 = float(bases.base.eigenvalues[n - 1])
         poles = table.poles
-        if table.spatial and table.mode == "exact":
-            edges = exact_scan_edges(table, eps0)
+        if table.exact_spatial:
+            edges = curve_edges(table, eps0)
             segments = [(a, b, b - a) for a, b in zip(edges[:-1], edges[1:])]
         elif len(poles) == 0:
             segments = [(eps0 - 1.0, eps0 + 1.0, 2.0)]
@@ -425,6 +453,18 @@ def test_sweep_requires_param_and_values(tmp_path):
                 "--param", "perturbation.scale", "--values", " , "]) == 2
     assert run(["sweep", "--config", cfg_path, "--out", str(tmp_path / "o4"),
                 "--param", "nonsense.path", "--values", "1.0"]) == 2
+
+
+def test_sweep_integer_key_takes_integer_values(tmp_path):
+    cfg_path = write_config(tmp_path, temporal_config(weak_harmonics(), points=128))
+    out = tmp_path / "out"
+    assert run(["sweep", "--config", cfg_path, "--out", str(out),
+                "--param", "truncation.n_prime", "--values", "1, +2"]) == 0
+    _, rows = read_rows(out / "sweep.csv")
+    assert sorted({r[0] for r in rows}) == ["1", "2"]
+    # 1.5 is no JSON integer
+    assert run(["sweep", "--config", cfg_path, "--out", str(tmp_path / "o2"),
+                "--param", "truncation.n_prime", "--values", "1.5"]) == 2
 
 
 def test_console_entry_subprocess(tmp_path):

@@ -95,8 +95,7 @@ def test_table_structure_anchor(anchor_spatial_spec, anchor_spatial_bases):
     assert len(table.entries) == 8          # N_p * N_p' distinct poles
     assert np.all(np.diff(table.poles) > 0.0)
     assert np.all(table.weights > 0.0)
-    assert table.mode == "approx"
-    assert table.spatial
+    assert not table.exact_spatial
     labels = [m for e in table.entries for m in e.labels]
     assert len(labels) == 8
     assert len(set(labels)) == 8
@@ -150,7 +149,7 @@ def reference_table(spec, bases, n):
             raw.append((channel, PoleMember(channel.index, n_prime, w,
                                             float(basis.eigenvalues[n_prime - 1]),
                                             channel.epsilon_p, channel.cos_alpha)))
-    scored = sorted(((pole_position(spec, ch, m.eps0_aux, spec.denominator_mode), m)
+    scored = sorted(((pole_position(spec, ch, m.eps0_aux), m)
                      for ch, m in raw),
                     key=lambda t: (t[0], t[1].channel, t[1].n_prime))
     poles = [p for p, _ in scored]

@@ -31,7 +31,7 @@ from mws.effpot import _VNN_CHUNK, Members, PoleMember, PoleWeightTable, _vnn, b
 from mws.errors import PoleProximityError, SolverError
 from mws.model import build_spec
 import mws.spectra
-from mws.spectra import _k_companion, _refine, exact_scan_edges, find_roots_exact
+from mws.spectra import _k_companion, _refine, curve_edges, find_roots_exact
 
 
 def reference_vnn(table, epsilon, proximity=True):
@@ -47,7 +47,7 @@ def reference_vnn(table, epsilon, proximity=True):
         raise PoleProximityError(
             f"epsilon {epsilon!r} is within {tol!r} of pole {poles[nearest]!r}"
         )
-    if table.mode == "approx" or not table.spatial:
+    if not table.exact_spatial:
         terms = [e.weight / (epsilon - e.pole) for e in table.entries]
     else:
         e = table.total_energy
@@ -235,8 +235,7 @@ def synthetic(members, poles, energy):
     spread = poles[-1] - poles[0] if len(poles) > 1 else 0.0
     return PoleWeightTable(base_state=1, poles=np.array(poles), weights=columns.weight.copy(),
                            starts=np.arange(len(poles) + 1), members=columns,
-                           merge_tol=1e-9 * spread, mode="exact", total_energy=energy,
-                           spatial=True)
+                           merge_tol=1e-9 * spread, exact_spatial=True, total_energy=energy)
 
 
 def synthetic_tables():
@@ -592,7 +591,7 @@ def test_array_vnn_matches_scalar_elementwise(label, table, eps0):
     # an array call raises what its first undefined energy raises
     with pytest.raises(type(errors[0]), match=re.escape(str(errors[0]))):
         vnn_eval(table, xs)
-    exact = table.spatial and table.mode == "exact"
+    exact = table.exact_spatial
     assert len(errors) >= len(table.poles) + exact   # every pole, and E + 1 if exact
 
 
@@ -737,8 +736,8 @@ def test_table_without_members_has_the_one_root_eps0(eps0):
     empty = Members(*(np.array([], dtype=dtype) for dtype in (int, int, float, float, float,
                                                                float)))
     table = PoleWeightTable(base_state=1, poles=np.array([]), weights=np.array([]),
-                            starts=np.array([0]), members=empty, merge_tol=0.0, mode="exact",
-                            total_energy=energy, spatial=True)
+                            starts=np.array([0]), members=empty, merge_tol=0.0,
+                            exact_spatial=True, total_energy=energy)
     got, messages = exact_roots(table, eps0)
     assert messages == []
     assert len(got) == 1 and abs(got[0] - eps0) <= 1e-13 * max(1.0, abs(eps0))
@@ -793,7 +792,7 @@ def test_scan_edges_are_the_real_k_poles_of_the_seed1_tables():
     tables = seed1_exact_tables()
     assert len(tables) == 114
     for label, table, eps0 in tables:
-        edges = exact_scan_edges(table, eps0)
+        edges = curve_edges(table, eps0)
         cuts = edges[1:-1]
         # every cut is a member's singularity
         for c in cuts:
@@ -814,7 +813,7 @@ def test_scan_edges_are_the_real_k_poles_of_the_seed1_tables():
     h = 1e-9 * listed
     labels = list(zip(table.members.channel.tolist(), table.members.n_prime.tolist()))
     assert [labels[i] for i in sign_change(table, listed - h, listed + h)] == [(-1, 6)]
-    assert any(abs(c - listed) <= 1e-14 * listed for c in exact_scan_edges(table, eps0))
+    assert any(abs(c - listed) <= 1e-14 * listed for c in curve_edges(table, eps0))
 
 
 def test_scan_edges_drop_a_listed_pole_that_is_no_singularity():
@@ -835,7 +834,7 @@ def test_scan_edges_drop_a_listed_pole_that_is_no_singularity():
     assert listed in table.poles.tolist() and listed < 8.3
     h = 1e-9 * max(1.0, abs(listed))
     assert sign_change(table, listed - h, listed + h) == []
-    edges = exact_scan_edges(table, eps0)
+    edges = curve_edges(table, eps0)
     assert all(abs(c - listed) > 1e-6 for c in edges)
     assert len(edges) == len(table.poles) + 1      # lo, the other three poles, E
     got, messages = exact_roots(table, eps0)

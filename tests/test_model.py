@@ -1,5 +1,7 @@
 """Config validation, channel bookkeeping, and document round-trips."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -93,6 +95,31 @@ def test_invalid_configs_rejected(key, patch, message):
     cfg.update(patch)
     with pytest.raises(ConfigError, match=message):
         build_spec(cfg)
+
+
+@pytest.mark.parametrize("config,section,key,value", [
+    (spatial_config, "grid", "points", "abc"),
+    (spatial_config, "box", "length", [1]),
+    (spatial_config, "energy", "total", None),
+    (spatial_config, "truncation", "n_base", 1.5),
+    (spatial_config, "perturbation", "scale", "big"),
+    (temporal_config, "perturbation", "angular_frequency", "fast"),
+    (spatial_config, "perturbation", "real", "false"),
+], ids=("points-string", "length-list", "total-null", "n_base-float", "scale-string",
+        "frequency-string", "real-string"))
+def test_value_of_wrong_json_type_names_its_path(config, section, key, value):
+    # a one-sided drive, so a "false" string read as true would fail on the pairing
+    cfg = config([{"index": 1, "amplitude": gaussian(0.3, 0.5, 0.2)}])
+    cfg[section][key] = value
+    with pytest.raises(ConfigError, match=re.escape(f"{section}.{key} must be ")):
+        build_spec(cfg)
+
+
+@pytest.mark.parametrize("value", (True, [0.0, False]))
+def test_bool_is_no_profile_number(value):
+    x = np.linspace(0.0, 1.0, 11)
+    with pytest.raises(ConfigError, match=r"t\.value: expected a number"):
+        sample_profile({"kind": "constant", "value": value}, x, "t")
 
 
 def test_missing_energy_rejected():

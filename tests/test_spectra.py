@@ -37,7 +37,7 @@ from mws.spectra import (
 )
 
 
-def synthetic_table(poles, weights, *, mode="approx", spatial=False, energy=0.0):
+def synthetic_table(poles, weights, *, exact_spatial=False, energy=0.0):
     poles = np.array(poles, dtype=float)
     weights = np.array(weights, dtype=float)
     size = len(poles)
@@ -46,8 +46,8 @@ def synthetic_table(poles, weights, *, mode="approx", spatial=False, energy=0.0)
     spread = float(poles[-1] - poles[0]) if len(poles) > 1 else 0.0
     return PoleWeightTable(base_state=1, poles=poles, weights=weights,
                            starts=np.arange(size + 1), members=members,
-                           merge_tol=1e-9 * spread, mode=mode, total_energy=energy,
-                           spatial=spatial)
+                           merge_tol=1e-9 * spread, exact_spatial=exact_spatial,
+                           total_energy=energy)
 
 
 def pair(height=0.3):
@@ -161,7 +161,7 @@ def test_assert_interlacing_rejects_bad_sets():
 
 
 def test_find_roots_rejects_exact_spatial_tables():
-    table = synthetic_table([0.5], [0.3], mode="exact", spatial=True, energy=9.0)
+    table = synthetic_table([0.5], [0.3], exact_spatial=True, energy=9.0)
     with pytest.raises(UnsupportedModeError):
         find_roots(table, 0.0)
 
