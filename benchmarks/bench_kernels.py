@@ -9,7 +9,10 @@ solved by one `mws._kernels.solve_secular_batch` call. Every root is checked
 against the eigenvalues of the arrowhead matrix
 [[eps0, sqrt(w)^T], [sqrt(w), diag(p)]] to 1e-9*max(1,|root|), and every
 bracket against its sign certificate f_lo > 0 > f_hi, before the timings
-(best of the repeats) are reported.
+(best of the repeats) are reported. The `rounds` column counts the batch's
+`_residual` calls (the seed evaluation, then one per round of Newton point
+and neighbours). With the default --tables, --sizes and --seed the run fails
+when a size takes more rounds than ROUNDS lists.
 
 The exact-mode section runs `mws.spectra.find_roots_exact` on the pole
 tables of a fixed set of exact spatial configs. It prints, per table, the
@@ -56,6 +59,29 @@ def run_batch(batch):
     t0 = time.perf_counter()
     results = _kernels.solve_secular_batch(batch)
     return time.perf_counter() - t0, results
+
+
+# `_residual` calls per batch with the default --tables, --sizes and --seed:
+# the seed evaluation, one round of Newton point and neighbours, and for
+# P >= 8 one more round for the few rows that round leaves open
+ROUNDS = {1: 2, 2: 2, 4: 2, 8: 3, 12: 3, 64: 3}
+
+
+def count_rounds(batch):
+    """(`_residual` calls, results) of one solve of the batch."""
+    calls = []
+    residual = _kernels._residual
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return residual(*args, **kwargs)
+
+    _kernels._residual = counted
+    try:
+        results = _kernels.solve_secular_batch(batch)
+    finally:
+        _kernels._residual = residual
+    return len(calls), results
 
 
 def arrowhead_roots(poles, weights, eps0):
@@ -182,12 +208,13 @@ def main():
     args = ap.parse_args()
     sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
 
-    print(f"{'P':>3}  {'roots':>6}  {'ms':>9}  {'us/root':>8}  {'max rel err':>11}")
+    gated = all(getattr(args, k) == ap.get_default(k) for k in ("tables", "sizes", "seed"))
+    print(f"{'P':>3}  {'roots':>6}  {'rounds':>6}  {'ms':>9}  {'us/root':>8}  {'max rel err':>11}")
     rng = np.random.default_rng(args.seed)
     for p_count in sizes:
         batch = make_batch(rng, args.tables, p_count)
         elapsed = min(run_batch(batch)[0] for _ in range(args.repeats))
-        _, results = run_batch(batch)
+        rounds, results = count_rounds(batch)
         worst = 0.0
         for (poles, weights, eps0), (roots, _, _, flo, fhi, _) in zip(batch, results):
             want = arrowhead_roots(poles, weights, eps0)
@@ -201,8 +228,11 @@ def main():
             raise SystemExit(f"roots disagree with the arrowhead oracle at P={p_count}: "
                              f"relative error {worst:.3e}")
         n_roots = args.tables * (p_count + 1)
-        print(f"{p_count:>3}  {n_roots:>6}  {elapsed * 1e3:>9.2f}  "
+        print(f"{p_count:>3}  {n_roots:>6}  {rounds:>6}  {elapsed * 1e3:>9.2f}  "
               f"{elapsed * 1e6 / n_roots:>8.2f}  {worst:>11.2e}")
+        if gated and rounds > ROUNDS[p_count]:
+            raise SystemExit(f"{rounds} residual rounds at P={p_count}: more than the "
+                             f"{ROUNDS[p_count]} recorded")
     bench_exact_scan(args.repeats)
     return 0
 

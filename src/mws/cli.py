@@ -67,10 +67,15 @@ def _load_config(path: str) -> tuple[dict, str]:
     raw_bytes = Path(path).read_bytes()
     digest = hashlib.sha256(raw_bytes).hexdigest()
     try:
-        doc = json.loads(raw_bytes)
+        doc = json.loads(raw_bytes, parse_constant=_reject_constant)
     except ValueError as exc:   # malformed JSON or undecodable bytes
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
+        raise ConfigError(f"config is not valid JSON ({path}): {exc}") from exc
     return doc, digest
+
+
+def _reject_constant(name: str):
+    """Refuse NaN and +-Infinity, which Python's parser reads but JSON lacks."""
+    raise ValueError(f"non-finite number {name}")
 
 
 def _manifest(out_dir: Path, subcommand: str, digest: str, outputs: list[str],
@@ -121,7 +126,7 @@ def _spectrum_outputs(spec: SystemSpec, out_dir: Path):
     counts = dict(asdict(result.counts), observed_total=result.observed_total,
                   degeneracy_deficit=result.degeneracy_deficit, mode=result.mode)
     try:
-        sep = realisation_separation(spec, want_min=spec.is_spatial)
+        sep = realisation_separation(spec, result.bases.base, want_min=spec.is_spatial)
         counts["separation_max_estimate"] = sep.max_estimate
         if sep.min_estimate is not None:
             counts["separation_min_estimate"] = sep.min_estimate

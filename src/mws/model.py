@@ -5,6 +5,7 @@ Dimensionless units throughout: hbar = m = 1.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field, replace
 from collections.abc import Mapping, Sequence
@@ -209,8 +210,8 @@ def _get(doc: Mapping[str, Any], key: str, where: str, kind: type | None = None,
          default: Any = None) -> Any:
     """doc[key], or `default` when the key is absent (a ConfigError when
     `default` is None). With `kind` float, int or bool the value must have
-    that JSON type, else a ConfigError names its dotted path; it comes back
-    as `kind`."""
+    that JSON type, and a float must be finite, else a ConfigError names its
+    dotted path; it comes back as `kind`."""
     if key not in doc:
         if default is None:
             raise ConfigError(f"missing required key {where}.{key}" if where else
@@ -221,6 +222,8 @@ def _get(doc: Mapping[str, Any], key: str, where: str, kind: type | None = None,
         return value
     name, types = _JSON_TYPES[kind]
     if isinstance(value, types) and (type(value) is bool) is (kind is bool):
+        if kind is float and not math.isfinite(value):
+            raise ConfigError(f"{where}.{key} must be finite, got {value!r}")
         return kind(value)
     raise ConfigError(f"{where}.{key} must be {name}, got {value!r}")
 

@@ -462,10 +462,13 @@ class SeparationEstimates:
 
 def realisation_separation(spec: SystemSpec, basis: EigenBasis | None = None,
                            want_min: bool = True) -> SeparationEstimates:
-    """Separation scale estimates: mean base level spacing and the period bound."""
-    if basis is None or basis.n_states < 2:
-        basis = solve_base_eigenproblem(spec, n_states=max(2, spec.n_base))
-    max_est = float(np.mean(np.diff(basis.eigenvalues)))
+    """Separation scale estimates: the mean spacing of the lowest max(2, N_s)
+    base levels, taken from `basis` when it holds that many, and the period
+    bound."""
+    levels = max(2, spec.n_base)
+    if basis is None or basis.n_states < levels:
+        basis = solve_base_eigenproblem(spec, n_states=levels)
+    max_est = float(np.mean(np.diff(basis.eigenvalues[:levels])))
     min_est: float | None = None
     if want_min:
         if not spec.is_spatial:

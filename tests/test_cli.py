@@ -8,6 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import mws.effpot
+import mws.spectra
 from conftest import fig_anchor_harmonics, gaussian, spatial_config, \
     temporal_config, weak_harmonics
 from mws.cli import _write_csv, main
@@ -154,8 +156,13 @@ def _sweep(param):
     (_anchor_bytes(), _sweep("perturbation.harmonics.x.index"), "perturbation.harmonics"),
     (_anchor_bytes(), _sweep("perturbation.harmonics.9.index"), "perturbation.harmonics"),
     (_anchor_bytes(), _sweep("box.length.x"), "box.length"),
+    (_anchor_bytes(energy={"total": float("nan")}), ["spectrum"], "non-finite number NaN"),
+    (_anchor_bytes(energy={"total": float("inf")}), ["figure1"], "non-finite number Infinity"),
+    (_anchor_bytes(box={"length": -float("inf")}), ["basis"], "non-finite number -Infinity"),
+    (_anchor_bytes(), ["sweep", "--param", "energy.total", "--values", "nan"], "energy.total"),
 ], ids=("list-root", "modes-string", "modes-list", "undecodable", "sweep-word-index",
-        "sweep-index-out-of-range", "sweep-into-number"))
+        "sweep-index-out-of-range", "sweep-into-number", "nan-literal", "infinity-literal",
+        "minus-infinity-literal", "sweep-nan"))
 def test_malformed_config_is_config_error(tmp_path, capsys, raw, argv, path):
     # a config error each: the JSON record and exit 2, never a traceback (exit 1)
     cfg = tmp_path / "config.json"
@@ -477,3 +484,23 @@ def test_console_entry_subprocess(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert (out / "roots.csv").exists()
+
+
+@pytest.mark.parametrize("sub", ("spectrum", "reconstruct"))
+@pytest.mark.parametrize("config", ("doc_spatial.json", "doc_temporal.json"))
+def test_one_base_eigensolve_per_run(tmp_path, monkeypatch, sub, config):
+    # counts.json takes its level spacing from the basis the spectrum was
+    # solved on, not from a second solve of the same eigenproblem
+    calls = []
+    solve = mws.effpot.solve_base_eigenproblem
+
+    def counted(spec, n_states=None):
+        calls.append(n_states)
+        return solve(spec, n_states)
+
+    monkeypatch.setattr(mws.effpot, "solve_base_eigenproblem", counted)
+    monkeypatch.setattr(mws.spectra, "solve_base_eigenproblem", counted)
+    out = tmp_path / "out"
+    assert run([sub, "--config", str(DOC_CONFIGS / config), "--out", str(out)]) == 0
+    assert calls == [None]
+    assert "separation_max_estimate" in json.loads((out / "counts.json").read_text())

@@ -1,12 +1,16 @@
 """Secular solver tests: certificates, error paths, and the scalar reference."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mws import _kernels
 from mws.errors import BracketError
+from mws.model import build_spec
+from mws.spectra import solve_spectrum
 
 
 def random_table(rng, p_count, *, gap_lo=0.1, gap_hi=10.0, w_lo=0.05, w_hi=20.0):
@@ -235,10 +239,9 @@ def test_batch_over_mixed_sizes_equals_single_calls():
 
 
 def test_poor_seeds_widen_to_the_same_certified_roots(monkeypatch):
-    # seeds 1e-6 off need many x4 widenings (and side moves) before the
-    # certificate holds; Newton must still land on the same roots. Since
-    # f' <= -1, the stop rule |f| <= 1e-12 max(1, |x|, |eps0|) puts each
-    # answer within that distance of the true root.
+    # seeds 1e-6 off need more rounds (Newton steps, x4 widenings of a side
+    # still unknown) before the certificate holds; they must still land on
+    # the same certified roots.
     rng = np.random.default_rng(15)
     tables = [random_table(rng, p) for p in (1, 5, 12)] + \
         [wide_weight_table(rng, p) for p in (3, 8)]
@@ -285,3 +288,74 @@ def test_wide_dynamic_range_weights():
     poles += np.arange(6) * 1.0  # enforce gaps
     weights = 10.0 ** rng.uniform(-3, 2, size=6)
     assert_certified(poles, _kernels.solve_secular(poles, weights, 3.0))
+
+
+def test_brackets_are_adjacent_floats_or_at_resolution():
+    # the certificate on the float grid: each root is the better end of a
+    # bracket f_lo > 0 > f_hi whose ends are adjacent floats (1 ulp, so at
+    # most 2), unless f cannot tell the floats between them apart. That is
+    # where its rounding floor 4u|eps0 - x| moves x by more than one float
+    # (roots much closer to 0 than eps0): there the ends are at most two
+    # resolutions 4u|eps0 - x|/|f'| apart, so (as |f'| >= 1) within
+    # 8u max(|eps0 - lo|, |eps0 - hi|). A row may also end on an exact zero
+    # between its ends, where a run of floats that all evaluate to 0 can
+    # keep the signs further apart.
+    rng = np.random.default_rng(16)
+    rows = wide = 0
+    for p_count in range(1, 65):
+        for draw in (random_table, wide_weight_table):
+            poles, weights, eps0 = draw(rng, p_count)
+            try:
+                result = _kernels.solve_secular(poles, weights, eps0)
+            except BracketError:
+                continue
+            assert_certified(poles, result)
+            roots, lo, hi, flo, fhi = result
+            f_root = np.abs(_kernels._residual(poles, weights, eps0, roots))
+            assert np.all(f_root <= np.minimum(np.abs(flo), -fhi))
+            adjacent = hi == np.nextafter(lo, np.inf)
+            resolved = hi - lo <= 8.0 * _kernels._U * np.maximum(np.abs(eps0 - lo),
+                                                                 np.abs(eps0 - hi))
+            assert np.all(adjacent | resolved | (f_root == 0.0))
+            rows += len(roots)
+            wide += int(np.sum(hi > np.nextafter(np.nextafter(lo, np.inf), np.inf)))
+    assert rows > 3000
+    assert wide <= rows // 50
+
+
+@pytest.mark.parametrize("config", ("doc_spatial.json", "doc_temporal.json"))
+def test_two_residual_rounds_per_doc_spectrum(monkeypatch, config):
+    # f and f' at the seeds, then one round of Newton point and neighbours
+    # certifies every root of the documented examples
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "configs" / config
+    spec = build_spec(json.loads(path.read_text()))
+    calls = []
+    residual = _kernels._residual
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return residual(*args, **kwargs)
+
+    monkeypatch.setattr(_kernels, "_residual", counted)
+    solve_spectrum(spec)
+    assert len(calls) == 2
+
+
+def test_wide_pole_sums_bitwise_equal_scalar_loop():
+    # past `_WIDE` points the sums go pole by pole; both layouts must give
+    # the scalar loop's sums, and the same slope sums as the block form
+    rng = np.random.default_rng(17)
+    for p_count in (1, 7, 33):
+        tables = [wide_weight_table(rng, p_count) for _ in range(3)]
+        p = np.array([t[0] for t in tables]).T          # poles first, one table per column
+        w = np.array([t[1] for t in tables]).T
+        x = rng.uniform(-60.0, 60.0, size=(_kernels._WIDE // 2, 3))
+        assert x.size >= _kernels._WIDE
+        sums, squares = _kernels._pole_sums(p, w, x, slope=slice(None))
+        for col, (poles, weights, _) in enumerate(tables):
+            block_sums, block_squares = _kernels._pole_sums(
+                poles, weights, x[:8, col], slope=slice(None))
+            assert np.array_equal(sums[:8, col], block_sums)
+            assert np.array_equal(squares[:8, col], block_squares)
+            assert [ref_secular_sum(poles, weights, v) for v in x[:40, col].tolist()] == \
+                sums[:40, col].tolist()

@@ -1,5 +1,6 @@
 """Config validation, channel bookkeeping, and document round-trips."""
 
+import math
 import re
 
 import numpy as np
@@ -112,6 +113,16 @@ def test_value_of_wrong_json_type_names_its_path(config, section, key, value):
     cfg = config([{"index": 1, "amplitude": gaussian(0.3, 0.5, 0.2)}])
     cfg[section][key] = value
     with pytest.raises(ConfigError, match=re.escape(f"{section}.{key} must be ")):
+        build_spec(cfg)
+
+
+@pytest.mark.parametrize("section,key", [("energy", "total"), ("box", "length"),
+                                         ("perturbation", "scale")])
+@pytest.mark.parametrize("value", (math.nan, math.inf, -math.inf), ids=("nan", "inf", "-inf"))
+def test_non_finite_number_names_its_path(section, key, value):
+    cfg = spatial_config(one_pair())
+    cfg[section][key] = value
+    with pytest.raises(ConfigError, match=re.escape(f"{section}.{key} must be finite")):
         build_spec(cfg)
 
 
