@@ -17,12 +17,12 @@ when a size takes more rounds than ROUNDS lists.
 The exact-mode section runs `mws.spectra.find_roots_exact` on the pole
 tables of a fixed set of exact spatial configs. It prints, per table, the
 dimension of the K eigenproblem, the `_exact_vnn` calls and the energies
-they evaluate, and the `_refine` rounds. Every root is checked first: a
-plain float sum of the exact relation must change sign within
-1e-9*max(1,|root|) of it, with no denominator changing sign there (no pole).
-Then the timings (best of the repeats) are reported. The run fails when the
-tables take more than 2 `_exact_vnn` calls each on average (one window check
-per table, and refine rounds only where an eigenvalue misses its root).
+they evaluate, and the rounds of the shared root loop (`_kernels.polish`).
+Every root is checked first: a plain float sum of the exact relation must
+change sign within 1e-9*max(1,|root|) of it, with no denominator changing
+sign there (no pole). Then the timings (best of the repeats) are reported.
+The run fails when the tables take more `_exact_vnn` calls or loop rounds
+in total than EXACT_COUNTS lists.
 """
 
 import argparse
@@ -97,6 +97,10 @@ def arrowhead_roots(poles, weights, eps0):
 EXACT_CELLS = [(n_p, n_prime, energy) for n_p in (2, 4) for n_prime in (1, 2, 4)
                for energy in (9.5, 16.0)]      # N_p, n', E; N_s = 2
 
+# `_exact_vnn` calls and shared-loop rounds over the 24 EXACT_CELLS tables:
+# per table the window check and one round of Newton point and neighbours
+EXACT_COUNTS = {"calls": 48, "rounds": 24}
+
 
 def exact_doc(n_p, n_prime, energy):
     """A spatial exact-mode config: n_p/2 conjugate pairs of off-centre bumps."""
@@ -152,29 +156,29 @@ def bench_exact_scan(repeats):
             n = table.base_state
             cases.append((f"Np={n_p} n'={n_prime} E={energy} n={n}", table,
                           float(bases.base.eigenvalues[n - 1])))
-    vnn, refine = mws.spectra._exact_vnn, mws.spectra._refine
-    counts = []         # per table: V_nn calls, energies, refine rounds, roots
+    vnn, polish = mws.spectra._exact_vnn, _kernels.polish
+    counts = []         # per table: V_nn calls, energies, loop rounds, roots
 
-    def counting_vnn(members, total_energy, eps):
+    def counting_vnn(members, total_energy, eps, **kwargs):
         counts[-1][0] += 1
-        counts[-1][1] += len(eps)
-        return vnn(members, total_energy, eps)
+        counts[-1][1] += eps.size
+        return vnn(members, total_energy, eps, **kwargs)
 
-    def counting_refine(f, *brackets):
-        def g(x):
+    def counting_polish(evaluate, *args):
+        def rounds(rows, x):
             counts[-1][2] += 1
-            return f(x)
-        return refine(g, *brackets)
+            return evaluate(rows, x)
+        return polish(rounds, *args)
 
-    mws.spectra._exact_vnn, mws.spectra._refine = counting_vnn, counting_refine
+    mws.spectra._exact_vnn, _kernels.polish = counting_vnn, counting_polish
     try:
         for label, table, eps0 in cases:
             counts.append([0, 0, 0, 0])
-            roots = mws.spectra.find_roots_exact(table, eps0)
+            roots = mws.spectra.find_roots_exact(table, eps0).roots
             check_exact_roots(label, table, eps0, roots)
             counts[-1][3] = len(roots)
     finally:
-        mws.spectra._exact_vnn, mws.spectra._refine = vnn, refine
+        mws.spectra._exact_vnn, _kernels.polish = vnn, polish
     times = []
     for label, table, eps0 in cases:
         best = np.inf
@@ -194,9 +198,10 @@ def bench_exact_scan(repeats):
     total = [sum(c[i] for c in counts) for i in range(4)]
     print(f"{'total':<26}  {'':>3}  {'':>3}  {total[3]:>5}  {total[0]:>5}  {total[1]:>8}  "
           f"{total[2]:>6}  {sum(times) * 1e3:>7.2f}")
-    if total[0] > 2 * len(cases):
-        raise SystemExit(f"{total[0]} _exact_vnn calls for {len(cases)} exact tables: "
-                         f"more than 2 per table")
+    for name, got in (("calls", total[0]), ("rounds", total[2])):
+        if got > EXACT_COUNTS[name]:
+            raise SystemExit(f"{got} exact {name} for {len(cases)} tables: more than the "
+                             f"{EXACT_COUNTS[name]} recorded")
 
 
 def main():

@@ -1,26 +1,29 @@
-"""Secular-equation root solver, batched over intervals and tables.
+"""Secular-equation roots: one seed -> certify -> polish loop for both forms.
 
-Each table (poles p ascending, weights w > 0, eps0) defines
+Each rational table (poles p ascending, weights w > 0, eps0) defines
 
     f(x) = sum_j w_j / (x - p_j) - x + eps0,
 
 which decreases strictly between consecutive poles, so every one of the P+1
 open intervals they bound holds exactly one root. The roots are the
 eigenvalues of the arrowhead matrix [[eps0, sqrt(w)^T], [sqrt(w), diag(p)]]
-(O'Leary & Stewart, J. Comput. Phys. 90, 1990); they serve as seeds. From
-each seed a safeguarded Newton step is taken, and f is evaluated at the
-Newton point and at its two neighbours in one call. The seed and those
-points give the bracket, the tightest evaluated pair f(lo) > 0 > f(hi), and
-the root, the evaluated float of least |f| in it. The neighbours are the
-next floats, unless f's resolution 4u|eps0 - x|/|f'|, the distance over
-which f moves by its rounding floor, is wider: then they lie one resolution
-away. A row ends once its bracket ends are adjacent floats or at most two
-resolutions apart (f cannot tell the floats between them apart), or on
-f == 0; the few rows that are not there after the first round repeat it
-from their best point, alone (R.-C. Li, LAPACK Working Note 89, 1994; Gu &
-Eisenstat, SIAM J. Matrix Anal. Appl. 16, 1995, whose dlaed4 also stops at
-the rounding error bound of f). All intervals of all tables with the same
-pole count are handled as one set of arrays.
+(O'Leary & Stewart, J. Comput. Phys. 90, 1990); they serve as seeds, with
+the poles as limits. The exact spatial form (`spectra.find_roots_exact`)
+seeds `polish` with its K-companion eigenvalues and their certified
+windows. From each seed `polish` takes a safeguarded Newton step and
+evaluates f at the Newton point and its two neighbours in one call. The
+seed and those points give the bracket, the tightest evaluated pair
+f(lo) > 0 > f(hi), and the root, the evaluated float of least |f| in it.
+The neighbours are the next floats, unless f's resolution (the distance
+over which f moves by its rounding floor, 4u|eps0 - x|/|f'| or a
+caller's floor) is wider: then they lie one resolution away. A row ends
+once its bracket ends are adjacent floats or at most two resolutions apart
+(f cannot tell the floats between them apart), or on f == 0; the few rows
+that are not there after the first round repeat it from their best point,
+alone (R.-C. Li, LAPACK Working Note 89, 1994; Gu & Eisenstat, SIAM J.
+Matrix Anal. Appl. 16, 1995, whose dlaed4 also stops at the rounding error
+bound of f). All intervals of all rational tables with the same pole count
+are handled as one set of arrays.
 
 The compensated sums are those of a scalar Neumaier loop, bit for bit:
 `_compensated_sum` adds a block over its last axis, and `_pole_sums`, behind
@@ -169,105 +172,130 @@ def _solve_same_size(p, w, eps0, labels):
     # one row per (table, interval); interval i lies between poles i-1 and i
     table_of = np.repeat(np.arange(tables), n)
     inf = np.full((tables, 1), np.inf)
-    lo_lim = np.concatenate([-inf, np.nextafter(p, np.inf)], axis=1).ravel()
-    hi_lim = np.concatenate([np.nextafter(p, -np.inf), inf], axis=1).ravel()
+    lo_lim = np.concatenate([-inf, np.nextafter(p, np.inf)], axis=1)
+    hi_lim = np.concatenate([np.nextafter(p, -np.inf), inf], axis=1)
 
     # f and f' at every seed at once, the table's poles broadcast over its rows
-    seed = np.clip(eig, lo_lim.reshape(tables, n), hi_lim.reshape(tables, n))
+    seed = np.clip(eig, lo_lim, hi_lim)
     f_seed, d_seed = (a.T.ravel() for a in _residual(
         p.T, w.T, eps0, seed.T, slope=slice(None)))
-    seed = seed.ravel()
 
-    # The state of the active rows. A bracket end is known once its sign fits
-    # (f_lo > 0 > f_hi); until then it holds its pole limit, with f = -inf
-    # (lo) or +inf (hi). The seed is the end its sign fits. `best` is the
-    # evaluated float of least |f| in the bracket, `slope` f' at the latest
-    # Newton point and `step` how far a side still unknown has widened.
+    def evaluate(rows, x):
+        t = table_of[rows]
+        return _residual(p.T[:, t], w.T[:, t], eps0[t], x, slope=1)
+
+    unknown = np.full(len(f_seed), np.inf)      # no pole limit's sign is known
+    scale = np.repeat(np.maximum(1.0, np.abs(eig).max(axis=1)), n)
+    *columns, stuck = polish(evaluate, seed.ravel(), f_seed, d_seed, lo_lim.ravel(), -unknown,
+                             hi_lim.ravel(), unknown, np.repeat(eps0, n), scale, 0.0 * scale)
+    if stuck.any():
+        row = int(np.flatnonzero(stuck)[0])
+        _raise_stuck(row, not columns[3][row] > 0.0, p, w, labels)
+    return tuple(a.reshape(tables, n) for a in columns)
+
+
+def polish(evaluate, seed, f_seed, d_seed, lo, flo, hi, fhi, eps0, scale, floor):
+    """The root loop of both secular forms: (root, lo, hi, f_lo, f_hi,
+    |f(root)|) from each seed, and the mask of the seeds whose bracket cannot
+    be had (stuck), which each caller handles.
+
+    f must fall through each root (a caller whose f rises negates it), and
+    `evaluate(rows, x)` returns it at the (3, k) points x of those rows, with
+    f' at x[1]; `f_seed`, `d_seed` are f, f' at the seeds. A limit `lo` (`hi`)
+    is known once its f value is >= 0 (<= 0; a zero end counts), else that
+    value is -inf (+inf) and the limit is as far as that side may widen.
+    f's resolution is 4u|eps0 - x|/|f'|, or `floor` where that is wider;
+    `scale` is the unit the widening starts from.
+    """
+    # The state of the active rows. A bracket end is known once its sign fits;
+    # until then it holds its limit. The seed is the end its sign fits.
+    # `best` is the evaluated float of least |f| in the bracket, `slope` f'
+    # at the latest Newton point and `step` how far a side still unknown has
+    # widened.
     pos, neg = f_seed > 0.0, f_seed < 0.0
-    lo, flo = np.where(pos, seed, lo_lim), np.where(pos, f_seed, -np.inf)
-    hi, fhi = np.where(neg, seed, hi_lim), np.where(neg, f_seed, np.inf)
-    best, f_best, slope, step = seed, f_seed, d_seed, np.zeros(len(seed))
-    certified = np.zeros(len(seed), dtype=bool)
+    lo, flo = np.where(pos, seed, lo), np.where(pos, f_seed, flo)
+    hi, fhi = np.where(neg, seed, hi), np.where(neg, f_seed, fhi)
+    best, f_best, slope, step = seed.copy(), f_seed.copy(), d_seed, np.zeros(len(seed))
+    certified = (flo >= 0.0) & (fhi <= 0.0)
     rows = np.arange(len(seed))
     out = np.empty((6, len(seed)))
+    stuck_rows = np.zeros(len(seed), dtype=bool)
     rounds = 0
-    while True:
-        rounds += 1
-        t = table_of[rows]
-        e0 = eps0[t]
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        while True:
+            rounds += 1
             # Newton from the best point, inside the bracket (else the
             # midpoint); toward a side still unknown it goes at least to a
-            # trial end, which widens x4 from the best point to the pole
-            # limit that side holds
+            # trial end, which widens x4 from the best point to the limit
+            # that side holds
             xn = best - f_best / slope
             near = (lo <= xn) & (xn <= hi)
-            x = np.where(near, xn, 0.5 * (lo + hi))
+            x = 0.5 * (lo + hi)
+            np.putmask(x, near, xn)
             if not certified.all():
                 far = np.maximum(best - step, lo)
-                x = np.where(flo > 0.0, x, np.where(near, np.minimum(xn, far), far))
+                x = np.where(flo >= 0.0, x, np.where(near, np.minimum(xn, far), far))
                 far = np.minimum(best + step, hi)
-                x = np.where(fhi < 0.0, x, np.where(near, np.maximum(xn, far), far))
-            # f's resolution at x: the distance over which f moves by its
-            # rounding floor 4u|eps0 - x| (a few ulps of the line term)
-            res = 4.0 * _U * np.abs(e0 - x) / -slope
-        # x and its neighbours, the next floats or, where the resolution
-        # spans more floats, the points one resolution away, all inside the
-        # bracket (so within the pole limits), in one residual call
-        pts = np.array([np.maximum(np.fmin(x - res, np.nextafter(x, -np.inf)), lo), x,
-                        np.minimum(np.fmax(x + res, np.nextafter(x, np.inf)), hi)])
-        fp, slope = _residual(p.T[:, t], w.T[:, t], e0, pts, slope=1)
+                x = np.where(fhi <= 0.0, x, np.where(near, np.maximum(xn, far), far))
+            res = np.maximum(4.0 * _U * np.abs(eps0[rows] - x) / -slope, floor[rows])
+            # x and its neighbours, the next floats or, where the resolution
+            # spans more floats, the points one resolution away, all inside
+            # the bracket (so within the limits), in one evaluation
+            pts = np.array([np.maximum(np.fmin(x - res, np.nextafter(x, -np.inf)), lo), x,
+                            np.minimum(np.fmax(x + res, np.nextafter(x, np.inf)), hi)])
+            fp, slope = evaluate(rows, pts)
 
-        # the tightest evaluated pair f > 0 > f: the rightmost positive point,
-        # then the leftmost negative point right of it (pts is ascending)
-        for q, fq in zip(pts, fp):
-            take = fq > 0.0
-            lo, flo = np.where(take, q, lo), np.where(take, fq, flo)
-        for q, fq in zip(pts[::-1], fp[::-1]):
-            take = (fq < 0.0) & (q > lo)
-            hi, fhi = np.where(take, q, hi), np.where(take, fq, fhi)
-        # the best point: the end of smaller |f|, or an exact zero inside
-        if (fp == 0.0).any():
-            for q, fq in zip(pts, fp):
-                take = fq == 0.0
-                best, f_best = np.where(take, q, best), np.where(take, 0.0, f_best)
-        zero = f_best == 0.0
-        if zero.any():
-            zero &= (lo < best) & (best < hi)
-        end_lo = np.abs(flo) <= np.abs(fhi)
-        best = np.where(zero, best, np.where(end_lo, lo, hi))
-        f_best = np.where(zero, 0.0, np.where(end_lo, flo, fhi))
+            # the tightest evaluated pair f > 0 > f: the rightmost positive
+            # point, then the leftmost negative point right of it (pts is
+            # ascending)
+            for q, fq, take in zip(pts, fp, fp > 0.0):
+                np.putmask(lo, take, q)
+                np.putmask(flo, take, fq)
+            for q, fq, take in zip(pts[::-1], fp[::-1], ((fp < 0.0) & (pts > lo))[::-1]):
+                np.putmask(hi, take, q)
+                np.putmask(fhi, take, fq)
+            # the best point: the end of smaller |f|, or an exact zero in the
+            # bracket
+            if (fp == 0.0).any():
+                for q, take in zip(pts, fp == 0.0):
+                    np.putmask(best, take, q)
+                    np.putmask(f_best, take, 0.0)
+            zero = f_best == 0.0
+            end_lo = np.abs(flo) <= np.abs(fhi)
+            ends, f_ends = np.where(end_lo, lo, hi), np.where(end_lo, flo, fhi)
+            if zero.any():
+                zero &= (lo <= best) & (best <= hi)
+                np.putmask(ends, zero, best)
+                np.putmask(f_ends, zero, 0.0)
+            best, f_best = ends, f_ends
 
-        known_lo, known_hi = flo > 0.0, fhi < 0.0
-        certified = known_lo & known_hi
-        if not certified.all():
-            # a side still unknown after its pole limit was evaluated cannot be had
-            stuck_lo = ~known_lo & (pts[0] <= lo)
-            stuck = stuck_lo | (~known_hi & (pts[2] >= hi))
-            if stuck.any():
-                k = int(np.flatnonzero(stuck)[0])
-                _raise_stuck(int(rows[k]), bool(stuck_lo[k]), p, w, labels)
-            scale = np.maximum(1.0, np.abs(eig[table_of[rows]]).max(axis=1))
-            step = np.where(certified, step, 4.0 * step + 16.0 * _U * scale)
-        # a certified row ends once no float lies between its ends (so every
-        # float in the bracket has been evaluated), once they are at most two
-        # resolutions apart (so f cannot tell the floats between them
-        # apart), or on f == 0; one not yet certified goes on until it is,
-        # or until it is stuck
-        done = certified & (zero | (hi <= np.fmax(np.nextafter(lo, np.inf), lo + 2.0 * res)))
-        if rounds >= _MAX_ROUNDS:
-            done = certified
-        state = (best, lo, hi, flo, fhi, f_best)
-        if done.all():
-            out[:, rows] = state
-            break
-        out[:, rows[done]] = [a[done] for a in state]
-        keep = ~done
-        rows, lo, hi, flo, fhi, best, f_best, slope, step, certified = (
-            a[keep] for a in (rows, lo, hi, flo, fhi, best, f_best, slope, step, certified))
+            # a certified row ends once no float lies between its ends (so
+            # every float in the bracket has been evaluated), once they are at
+            # most two resolutions apart (so f cannot tell the floats between
+            # them apart), or on f == 0; one not yet certified goes on until
+            # it is, or until it is stuck
+            known_lo, known_hi = flo >= 0.0, fhi <= 0.0
+            certified = known_lo & known_hi
+            done = certified & (zero | (hi <= np.fmax(np.nextafter(lo, np.inf), lo + 2.0 * res)))
+            if rounds >= _MAX_ROUNDS:
+                done = certified
+            if not certified.all():
+                # a side still unknown after its limit was evaluated cannot be had
+                stuck = (~known_lo & (pts[0] <= lo)) | (~known_hi & (pts[2] >= hi))
+                stuck_rows[rows[stuck]] = True
+                done |= stuck
+                step = np.where(certified, step, 4.0 * step + 16.0 * _U * scale[rows])
+            state = (best, lo, hi, flo, fhi, f_best)
+            if done.all():
+                out[:, rows] = state
+                break
+            out[:, rows[done]] = [a[done] for a in state]
+            keep = ~done
+            rows, lo, hi, flo, fhi, best, f_best, slope, step, certified = (
+                a[keep] for a in (rows, lo, hi, flo, fhi, best, f_best, slope, step, certified))
 
-    root, lo, hi, flo, fhi, f_root = (a.reshape(tables, n) for a in out)
-    return root, lo, hi, flo, fhi, np.abs(f_root)
+    root, lo, hi, flo, fhi, f_root = out
+    return root, lo, hi, flo, fhi, np.abs(f_root), stuck_rows
 
 
 def _raise_stuck(row: int, bad_lo: bool, p, w, labels):

@@ -398,10 +398,20 @@ def _vnn(table: PoleWeightTable, eps: np.ndarray) -> np.ndarray:
     return out
 
 
-def _exact_vnn(m: Members, total_energy: float, eps: np.ndarray) -> np.ndarray:
+def _exact_vnn(m: Members, total_energy: float, eps: np.ndarray, slope=None):
     """sum_t w_t / d_t(eps) over the members in table order, d_t the exact
-    denominator `_exact_denominator`, by `_chunked_sum`."""
-    return _chunked_sum(lambda e: m.weight / _exact_denominator(m, e, total_energy - e), eps)
+    denominator `_exact_denominator`, by `_chunked_sum`. With `slope`, an
+    index of eps's first axis, also its derivative sum_t -w_t d_t'/d_t^2 at
+    eps[slope] (a plain sum; d_t' = 1 + cos(alpha) sqrt(eps_p/(E - eps)) is
+    infinite at E) and the denominators d_t, on a last axis, of one block."""
+    if slope is None:
+        return _chunked_sum(lambda e: m.weight / _exact_denominator(m, e, total_energy - e), eps)
+    e = eps[..., None]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        d = _exact_denominator(m, e, total_energy - e)
+        terms = m.weight / d
+        growth = 1.0 + m.cos_alpha * np.sqrt(m.eps_p / (total_energy - e[slope]))
+        return _kernels._compensated_sum(terms), np.sum(-terms[slope] * growth / d[slope], -1), d
 
 
 def _chunked_sum(terms_of, eps: np.ndarray) -> np.ndarray:

@@ -154,10 +154,12 @@ class ChannelEnergy:
 
 def _as_complex_scalar(value: Any, where: str) -> complex:
     re, im = value if isinstance(value, (list, tuple)) and len(value) == 2 else (value, 0.0)
-    if isinstance(re, (int, float)) and isinstance(im, (int, float)) \
-            and bool not in (type(re), type(im)):
-        return complex(re, im)   # complex(x, 0.0) is complex(x) bit for bit
-    raise ConfigError(f"{where}: expected a number or a [re, im] pair, got {value!r}")
+    if not (isinstance(re, (int, float)) and isinstance(im, (int, float))
+            and bool not in (type(re), type(im))):
+        raise ConfigError(f"{where}: expected a number or a [re, im] pair, got {value!r}")
+    if not (math.isfinite(re) and math.isfinite(im)):
+        raise ConfigError(f"{where} must be finite, got {value!r}")
+    return complex(re, im)   # complex(x, 0.0) is complex(x) bit for bit
 
 
 def sample_profile(doc: Mapping[str, Any], x: np.ndarray, where: str,

@@ -23,7 +23,8 @@ from mws.model import SystemSpec
 
 @dataclass(frozen=True, eq=False)
 class RootSet:
-    """Roots with bracket certificates f(lo) > 0 > f(hi) and residuals."""
+    """Roots with bracket certificates f(lo) > 0 > f(hi) (exact form: of
+    opposite signs, or a zero end) and residuals |f(root)|."""
 
     roots: np.ndarray
     bracket_lo: np.ndarray
@@ -124,8 +125,8 @@ def _k_poles(m: Members, total_energy: float) -> tuple[np.ndarray, np.ndarray]:
     R^2 = 2(E - eps0' - eps_p (1 - cos^2 alpha)), so its K-poles are -G +- R.
     R is complex where R^2 < 0 (no real singularity)."""
     g = m.cos_alpha * np.sqrt(2.0 * m.eps_p)
-    r = np.emath.sqrt(2.0 * (total_energy - m.eps0_aux - m.eps_p * (1.0 - m.cos_alpha ** 2)))
-    return g, r
+    r2 = 2.0 * (total_energy - m.eps0_aux - m.eps_p * (1.0 - m.cos_alpha ** 2))
+    return g, np.sqrt(r2.astype(complex) if (r2 < 0.0).any() else r2)
 
 
 def curve_edges(table: PoleWeightTable, epsilon0: float) -> list[float]:
@@ -167,8 +168,10 @@ def _k_companion(m: Members, total_energy: float, epsilon0: float) -> np.ndarray
     y2 = y1^2. The matrix is real unless some R^2 < 0.
     """
     live = m.weight != 0.0
-    w = m.weight[live]
-    g, r = _k_poles(Members(*(column[live] for column in m)), total_energy)
+    if not live.all():
+        m = Members(*(column[live] for column in m))
+    w = m.weight
+    g, r = _k_poles(m, total_energy)
     simple = r != 0.0
     q = np.concatenate([-g[simple] + r[simple], -g[simple] - r[simple]])
     b = np.concatenate([-2.0 * w[simple] / r[simple], 2.0 * w[simple] / r[simple]])
@@ -189,9 +192,9 @@ def _k_companion(m: Members, total_energy: float, epsilon0: float) -> np.ndarray
     return mat
 
 
-def find_roots_exact(table: PoleWeightTable, epsilon0: float) -> np.ndarray:
+def find_roots_exact(table: PoleWeightTable, epsilon0: float) -> RootSet:
     """Certified roots of the exact relation V_nn(eps) = eps - eps0 (no count
-    claim), ascending.
+    claim), ascending, each with its bracket.
 
     With eps = E - K^2/2 the relation is rational in the Bloch wavenumber K,
     and the eigenvalues of one companion matrix (`_k_companion`) are all of
@@ -206,116 +209,59 @@ def find_roots_exact(table: PoleWeightTable, epsilon0: float) -> np.ndarray:
     state and their count. Tables without exact square-root denominators go
     to `find_roots`.
 
-    The same one f call also takes the inner points eps -+ delta, delta =
-    0.49e-13 max(1, |eps|), clipped to the window, so the inner window is
-    narrower than `_refine`'s stop width; an eigenvalue on its root has its
-    sign change there. Each certified candidate hands `_refine` the
-    narrowest of [eps - h, eps - delta], [eps - delta, eps + delta],
-    [eps + delta, min(eps + h, E)] and the whole window that holds a sign
-    change (or a zero end), so only a root outside its inner window takes
-    refine rounds.
+    The same one f call takes f' at each candidate. The window ends are then
+    the known limits of `_kernels.polish`, with f negated where it rises, so
+    the approx roots' loop narrows each window to its root; the brackets,
+    their f values and the residuals are those of the evaluated floats.
     """
     if not table.exact_spatial:
-        return find_roots(table, epsilon0).roots
+        return find_roots(table, epsilon0)
     e = table.total_energy
     m = table.members
     k = np.linalg.eigvals(_k_companion(m, e, epsilon0))
     tol = 1e-8 * np.maximum(1.0, np.abs(k))
-    eps = e - 0.5 * k.real[(k.real >= -tol) & (np.abs(k.imag) <= tol)] ** 2
+    eps = np.sort(e - 0.5 * k.real[(k.real >= -tol) & (np.abs(k.imag) <= tol)] ** 2)
     scale = np.maximum(1.0, np.abs(eps))
-    h, delta = 1e-9 * scale, 0.49e-13 * scale
-    hi = np.minimum(eps + h, e)
-    x = np.stack([eps - h, eps - delta, np.minimum(eps + delta, hi), hi])   # ascending
+    x = np.array([eps - 1e-9 * scale, eps, np.minimum(eps + 1e-9 * scale, e)])  # ascending
 
-    def f(x: np.ndarray) -> np.ndarray:
-        return _exact_vnn(m, e, x) - x + epsilon0
+    def f(x: np.ndarray):
+        """f at the (3, c) points x, f' at x[1] and the members' denominators."""
+        vnn, slope, d = _exact_vnn(m, e, x, slope=1)
+        return vnn - x + epsilon0, slope - 1.0, d
 
-    fx = f(x.ravel()).reshape(x.shape)
-    positive = _exact_denominator(m, x[[0, 3], :, None], (e - x[[0, 3]])[..., None]) > 0.0
-    ok = np.all(positive[0] == positive[1], axis=1) & (np.sign(fx[0]) * np.sign(fx[3]) <= 0.0)
-    c = len(eps)
-    if not np.all(ok):
-        warnings.warn(f"exact mode: {c - int(np.count_nonzero(ok))} eigenvalue "
+    fx, slope, d = f(x)
+    ok = ((d[0] > 0.0) == (d[2] > 0.0)).all(axis=1) & (np.sign(fx[0]) * np.sign(fx[2]) <= 0.0)
+    if not ok.all():
+        warnings.warn(f"exact mode: {len(eps) - int(np.count_nonzero(ok))} eigenvalue "
                       f"candidate(s) of base state {table.base_state} failed the "
                       f"window certificate and are not returned", stacklevel=2)
-    x, fx = x[:, ok], fx[:, ok]
-    # the sub-windows [x[left], x[right]], then the whole window, which has a
-    # sign change: each candidate keeps the narrowest with one
-    left, right = np.array([0, 1, 2, 0]), np.array([1, 2, 3, 3])
-    change = np.sign(fx[left]) * np.sign(fx[right]) <= 0.0
-    pick = np.argmin(np.where(change, x[right] - x[left], np.inf), axis=0)
-    a, b, cols = left[pick], right[pick], np.arange(len(pick))
-    roots = _refine(f, x[a, cols], fx[a, cols], x[b, cols], fx[b, cols])
-    roots.sort()
+        x, fx, slope, eps, scale = x[:, ok], fx[:, ok], slope[ok], eps[ok], scale[ok]
+    # f must fall through each root: negate it where it rises
+    sign = np.where((fx[0] > 0.0) | (fx[2] < 0.0), 1.0, -1.0)
+    fx *= sign
+
+    def evaluate(rows, x):
+        fx, slope, _ = f(x)
+        return fx * sign[rows], slope * sign[rows]
+
+    # f's resolution is at least the rounding of a denominator's arguments,
+    # 2u(|eps| + |eps0'| + eps_p + 2|cos(alpha)| sqrt((E - eps) eps_p)), each
+    # square root at most (E - eps + eps_p)/2
+    args = np.max(np.abs(m.eps0_aux) + 2.0 * m.eps_p, initial=0.0)
+    *columns, stuck = _kernels.polish(evaluate, eps, fx[1], slope * sign, x[0], fx[0], x[2], fx[2],
+                                      np.full(len(eps), float(epsilon0)), scale,
+                                      2.0 * _kernels._U * (np.abs(eps) + (e - eps) + args))
+    columns[3] *= sign
+    columns[4] *= sign
     # two candidates of one root: the second lies in the first one's window
-    distinct = np.diff(roots) > 1e-9 * np.maximum(1.0, np.abs(roots[:-1]))
-    return roots[np.concatenate(([True], distinct))[:len(roots)]]
-
-
-def _refine(f, a: np.ndarray, fa: np.ndarray, b: np.ndarray, fb: np.ndarray) -> np.ndarray:
-    """Refine every bracket [a, b] with f(a) = fa, f(b) = fb of opposite signs
-    (or a zero end) at once by safeguarded regula falsi, 200 rounds at most.
-
-    A bracket with an f == 0 end, or already within the stop width
-    b - a <= 1e-13 max(1, |a|), is finished before the first round and costs
-    no f evaluation: its root is that end (a first), or the midpoint.
-    Each round evaluates f at one point per bracket: the regula falsi point,
-    kept at least a quarter of the stop width inside each end (Brent's
-    minimum step), or the midpoint when that point is NaN or outside [a, b],
-    the previous one gave an undefined (NaN) f, or the bracket has not halved
-    over the last 4 rounds. A point that rounds onto an end means the root
-    is within rounding of it, so the minimum step, not a midpoint, follows.
-    When the same end is kept twice in a row its stored f is scaled by
-    m = 1 - f(x)/f(moved end), or by 1/2 when m <= 0 (Anderson & Bjorck,
-    BIT 13, 253, 1973); the signs of the ends never change, so the bracket
-    always holds a true sign change. Each bracket stops on its own: where
-    f == 0, or at an undefined midpoint, that point is the root; once
-    b - a <= 1e-13 max(1, |a|), or after the last round, the root is the
-    bracket's midpoint.
-    """
-    root = np.where(fa == 0.0, a, np.where(fb == 0.0, b, 0.5 * (a + b)))
-    keep = (fa != 0.0) & (fb != 0.0) & (b - a > 1e-13 * np.maximum(1.0, np.abs(a)))
-    a, fa, b, fb = a[keep], fa[keep], b[keep], fb[keep]
-    idx = np.flatnonzero(keep)
-    neg_a = fa < 0.0
-    kept = np.zeros(len(a), dtype=int)          # 1: a kept last round, 2: b kept
-    undefined = np.zeros(len(a), dtype=bool)    # the last interpolant gave NaN
-    widths = np.full((4, len(a)), np.inf)       # widths of the last 4 rounds
-    for r in range(200):
-        if not len(idx):
-            break
-        width = b - a
-        stalled = width > 0.5 * widths[r % 4]
-        widths[r % 4] = width
-        step = 0.25 * (1e-13 * np.maximum(1.0, np.abs(a)))
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            x_rf = (a * fb - b * fa) / (fb - fa)
-        x = np.minimum(np.maximum(x_rf, a + step), b - step)
-        interp = (a <= x_rf) & (x_rf <= b) & (a < x) & (x < b) & ~undefined & ~stalled
-        x = np.where(interp, x, 0.5 * (a + b))
-        fx = f(x)
-        undefined = np.isnan(fx)
-        halt = (undefined & ~interp) | (fx == 0.0)
-        move = ~undefined & ~halt
-        lower = move & ((fx < 0.0) != neg_a)    # the root is in (a, x): b moves
-        upper = move & ~lower
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            m = 1.0 - fx / np.where(lower, fb, fa)
-        m = np.where(m > 0.0, m, 0.5)
-        fa = np.where(lower & (kept == 1), fa * m, np.where(upper, fx, fa))
-        fb = np.where(upper & (kept == 2), fb * m, np.where(lower, fx, fb))
-        a = np.where(upper, x, a)
-        b = np.where(lower, x, b)
-        kept = np.where(lower, 1, np.where(upper, 2, kept))
-        narrow = move & (b - a <= 1e-13 * np.maximum(1.0, np.abs(a)))
-        root[idx[halt]] = x[halt]
-        root[idx[narrow]] = 0.5 * (a[narrow] + b[narrow])
-        keep = ~(halt | narrow)
-        a, fa, b, fb, idx = a[keep], fa[keep], b[keep], fb[keep], idx[keep]
-        neg_a, kept, undefined, widths = neg_a[keep], kept[keep], undefined[keep], \
-            widths[:, keep]
-    root[idx] = 0.5 * (a + b)
-    return root
+    # (or, polished past it, below it)
+    keep = np.flatnonzero(~stuck)
+    root = columns[0][keep]
+    keep = keep[np.concatenate(([True], np.diff(root) > 1e-9 * np.maximum(1.0, np.abs(root[:-1]))))
+                [:len(keep)]]
+    rs = RootSet(*(a[keep] for a in columns))
+    _assert_rootset(table.poles, rs, table.base_state, exact=table)
+    return rs
 
 
 def count_solutions(spec: SystemSpec) -> CountReport:
@@ -353,8 +299,25 @@ def assert_interlacing(poles: np.ndarray, roots: np.ndarray) -> None:
         raise SolverError("poles and roots do not strictly alternate")
 
 
-def _assert_rootset(poles: np.ndarray, rs: RootSet, n: int) -> None:
-    """The gate: interlacing, f_lo > 0 > f_hi and |f| <= 1e-9*max(1,|eps|)."""
+def _assert_rootset(poles: np.ndarray, rs: RootSet, n: int,
+                    exact: PoleWeightTable | None = None) -> None:
+    """The gate: interlacing, f_lo > 0 > f_hi and |f| <= 1e-9*max(1,|eps|).
+
+    For `exact`, the exact spatial table the roots solve, it is instead
+    lo <= root <= hi <= E, f_lo and f_hi of opposite signs (or a zero end),
+    and no member's denominator of opposite signs at lo and hi; exact roots
+    make no count claim, and the residual bound waits for a shifted form of f
+    (some roots next to steep, weakly coupled singularities miss it).
+    """
+    if exact is not None:
+        e = exact.total_energy
+        held = (rs.bracket_lo <= rs.roots) & (rs.roots <= rs.bracket_hi) & (rs.bracket_hi <= e)
+        if held.all() and (np.sign(rs.f_lo) * np.sign(rs.f_hi) <= 0.0).all():
+            ends = np.array([rs.bracket_lo, rs.bracket_hi])[..., None]
+            positive = _exact_denominator(exact.members, ends, e - ends) > 0.0
+            if (positive[0] == positive[1]).all():
+                return
+        raise SolverError(f"bracket certificate failed for base state {n}")
     assert_interlacing(poles, rs.roots)
     if len(poles) > 0 and not np.all((rs.f_lo > 0.0) & (rs.f_hi < 0.0)):
         raise SolverError(f"bracket certificate failed for base state {n}")
@@ -378,12 +341,7 @@ def solve_spectrum(spec: SystemSpec) -> SpectrumResult:
     tables = build_pole_weight_tables(spec, bases)
     eps0s = [float(bases.base.eigenvalues[n - 1]) for n in ns]
     if spec.exact_spatial:
-        rootsets = []
-        for table, eps0 in zip(tables, eps0s):
-            roots = find_roots_exact(table, eps0)
-            nans = np.full(len(roots), np.nan)
-            rootsets.append(RootSet(roots=roots, bracket_lo=nans, bracket_hi=nans,
-                                    f_lo=nans, f_hi=nans, residuals=nans))
+        rootsets = [find_roots_exact(t, e) for t, e in zip(tables, eps0s)]
     else:
         rootsets = _solve_rational([(t.poles, t.weights, e)
                                     for t, e in zip(tables, eps0s)], ns)

@@ -160,9 +160,11 @@ def _sweep(param):
     (_anchor_bytes(energy={"total": float("inf")}), ["figure1"], "non-finite number Infinity"),
     (_anchor_bytes(box={"length": -float("inf")}), ["basis"], "non-finite number -Infinity"),
     (_anchor_bytes(), ["sweep", "--param", "energy.total", "--values", "nan"], "energy.total"),
+    (_anchor_bytes(), ["sweep", "--param", "base_potential.value", "--values", "inf"],
+     "base_potential.value must be finite"),
 ], ids=("list-root", "modes-string", "modes-list", "undecodable", "sweep-word-index",
         "sweep-index-out-of-range", "sweep-into-number", "nan-literal", "infinity-literal",
-        "minus-infinity-literal", "sweep-nan"))
+        "minus-infinity-literal", "sweep-nan", "sweep-inf-profile"))
 def test_malformed_config_is_config_error(tmp_path, capsys, raw, argv, path):
     # a config error each: the JSON record and exit 2, never a traceback (exit 1)
     cfg = tmp_path / "config.json"
@@ -330,7 +332,7 @@ def test_figure1_exact_mode_spatial(tmp_path):
     spec = build_spec(dict(cfg, modes={"denominator": "exact", "basis": "unperturbed"}))
     bases = build_bases(spec)
     table = build_pole_weight_table(spec, bases, 1)
-    want = find_roots_exact(table, float(bases.base.eigenvalues[0]))
+    want = find_roots_exact(table, float(bases.base.eigenvalues[0])).roots
     assert [float(r[2]) for r in inter] == want.tolist()
     assert len(want) > 0 and np.all(want <= 12.0)
     _, curve = read_rows(out / "curve.csv")
@@ -399,6 +401,19 @@ def test_figure1_intersections_are_the_spectrum_roots(tmp_path, name, mode):
     header, roots = read_rows(tmp_path / "spectrum" / "roots.csv")
     assert read_rows(tmp_path / "figure1" / "intersections.csv") == \
         (header[:3], [row[:3] for row in roots])
+
+
+def test_exact_roots_csv_prints_brackets_and_residuals(tmp_path):
+    # exact rows carry the shared loop's bracket and residual: no nan cell,
+    # and each bracket holds its root
+    cfg = str(DOC_CONFIGS / "doc_spatial.json")
+    assert run(["spectrum", "--config", cfg, "--out", str(tmp_path), "--mode", "exact"]) == 0
+    header, rows = read_rows(tmp_path / "roots.csv")
+    assert header == ["n", "j", "root", "residual", "bracket_lo", "bracket_hi"] and rows
+    for row in rows:
+        root, residual, lo, hi = map(float, row[2:])
+        assert np.all(np.isfinite([root, residual, lo, hi])), row
+        assert lo <= root <= hi and hi - lo <= 1e-12 * max(1.0, abs(root)), row
 
 
 @pytest.mark.parametrize("samples", ("0", "-1"))

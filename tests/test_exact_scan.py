@@ -4,8 +4,9 @@
 it bit for bit, NaN where it raises, in exact and approx mode alike.
 `reference_scan` is the sample-and-refine scan that exact mode used before
 its roots came from one eigenvalue problem in the Bloch wavenumber K; with
-`reference_refine` (which mirrors `_refine` step for step) or
-`reference_bisect` it is the oracle for `find_roots_exact`. A root counts
+`reference_refine` (the safeguarded regula falsi that refined them before
+the shared root loop `_kernels.polish` did) or `reference_bisect` it is the
+oracle for `find_roots_exact`. A root counts
 when it has the window certificate (`reference_certified`): within
 1e-9*max(1,|r|) of it no member's denominator changes sign and the exact
 relation does.
@@ -14,6 +15,7 @@ relation does.
 import dataclasses
 import functools
 import importlib.util
+import json
 import math
 import re
 import sys
@@ -31,7 +33,8 @@ from mws.effpot import _VNN_CHUNK, Members, PoleMember, PoleWeightTable, _vnn, b
 from mws.errors import PoleProximityError, SolverError
 from mws.model import build_spec
 import mws.spectra
-from mws.spectra import _k_companion, _refine, curve_edges, find_roots_exact
+from mws import _kernels
+from mws.spectra import _k_companion, curve_edges, find_roots_exact, solve_spectrum
 
 
 def reference_vnn(table, epsilon, proximity=True):
@@ -331,7 +334,7 @@ SPEC_LABELS = {label for label, _, _ in spec_tables()}
 @pytest.mark.parametrize("label,table,eps0", CASES, ids=[c[0] for c in CASES])
 def test_scan_roots_bitwise_equal_to_scalar_scan(label, table, eps0):
     want = reference_scan(table, eps0)
-    got = find_roots_exact(table, eps0)
+    got = find_roots_exact(table, eps0).roots
     assert got.dtype == want.dtype
     assert_matches_oracle(label, table, eps0, want, got, label in SPEC_LABELS)
 
@@ -339,7 +342,7 @@ def test_scan_roots_bitwise_equal_to_scalar_scan(label, table, eps0):
 @pytest.mark.parametrize("label,table,eps0", CASES, ids=[c[0] for c in CASES])
 def test_scan_roots_match_bisection(label, table, eps0):
     want = reference_scan(table, eps0, refine=reference_bisect)
-    got = find_roots_exact(table, eps0)
+    got = find_roots_exact(table, eps0).roots
     assert_matches_oracle(label, table, eps0, want, got, label in SPEC_LABELS)
 
 
@@ -347,7 +350,7 @@ def test_no_poles_below_e_table_keeps_only_certified_roots():
     label, table, eps0 = synthetic_tables()[0]
     assert label == "no poles below E"
     want = reference_scan(table, eps0)
-    got = find_roots_exact(table, eps0)
+    got = find_roots_exact(table, eps0).roots
     # the scan reports a root at a singularity that no table pole lists:
     # member (1, 1)'s denominator changes sign there and f jumps through it
     singular = 3.316624790355256
@@ -365,27 +368,34 @@ def test_no_poles_below_e_table_keeps_only_certified_roots():
     assert reference_certified(table, eps0, float(low[0]))
 
 
+def counting_exact_vnn(monkeypatch, calls):
+    vnn = mws.spectra._exact_vnn
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return vnn(*args, **kwargs)
+
+    monkeypatch.setattr(mws.spectra, "_exact_vnn", counting)
+
+
 def test_refinement_needs_at_most_half_the_bisection_rounds(monkeypatch):
-    rounds = []
-
-    def counting_refine(f, *brackets):
-        calls = []
-        roots = _refine(counted(f, calls), *brackets)
-        rounds.append(len(calls))
-        return roots
-
-    monkeypatch.setattr(mws.spectra, "_refine", counting_refine)
+    # one `_exact_vnn` call is the window check; every other is a round of
+    # the shared loop
+    calls, rounds = [], []
+    counting_exact_vnn(monkeypatch, calls)
     bisection = 0
     for _, table, eps0 in CASES:
+        calls.clear()
         find_roots_exact(table, eps0)
+        rounds.append(len(calls) - 1)
         f, _, changes = reference_sign_changes(table, eps0)
         per_bracket = [0]
         for change in changes:
-            calls = []
-            reference_bisect(counted(f, calls), *change)
-            per_bracket.append(len(calls))
+            bisect_calls = []
+            reference_bisect(counted(f, bisect_calls), *change)
+            per_bracket.append(len(bisect_calls))
         bisection += max(per_bracket)   # an array bisection runs until its last bracket stops
-    assert max(rounds) <= 200
+    assert max(rounds) <= _kernels._MAX_ROUNDS
     assert sum(rounds) <= 0.5 * bisection, (sum(rounds), bisection)
 
 
@@ -401,136 +411,161 @@ def nan_band(center, half, g):
     return lambda x: np.where(np.abs(x - center) < half, np.nan, g(x))
 
 
-@pytest.mark.parametrize("f,a,b,root,rounds", [
-    # the first regula falsi point is the root
-    (lambda x: x, -1.0, 3.0, 0.0, 1),
-    # NaN at the first interpolant (0.75); the midpoint 0.5 moves b, and the
-    # next interpolant is the root 3/8
-    (nan_band(0.75, 0.01, lambda x: np.where(x <= 0.5, 3.0 - 8.0 * x, -1.0)),
-     0.0, 1.0, 0.375, 3),
-    # NaN at the interpolant 0.5, then at the midpoint 0.5: the midpoint is the root
-    (nan_band(0.5, 0.1, lambda x: 1.0 - 2.0 * x), 0.0, 1.0, 0.5, 2),
-    # the root 1e-17 above a: the interpolant rounds onto a, and the minimum
-    # step a + 2.5e-14 closes the bracket to within the stop width
-    (lambda x: 1e-17 - (x - 0.5), 0.5, 1.0, 0.5 * (0.5 + (0.5 + 2.5e-14)), 1),
-    # the interpolant 1e-13 leaves b - a == 1e-13: the stop width, not one round more
-    (lambda x: np.where(x > 0.5e-13, 1.0, -1.0), 0.0, 2e-13, 0.5e-13, 1),
-    # an infinite f leaves no interpolant: 200 midpoints of a 1e300-wide
-    # bracket fall short of the stop width at 1e250, so the cap ends the search
-    (lambda x: np.where(x < 1e250, np.inf, -1.0), 0.0, 1e300, None, 200),
-], ids=["zero", "undefined-interpolant", "undefined-midpoint", "end", "width", "cap"])
-def test_refine_exits_match_scalar(f, a, b, root, rounds):
+def polish_one(f, df, a, b, seed):
+    """`_kernels.polish` on the one bracket [a, b] of f, seeded at `seed`, f
+    negated where it rises (as `find_roots_exact` does) and its line
+    constant 0: (root, lo, hi, f_lo, f_hi) in f's own sign, and the
+    evaluations it took, the seed's one included."""
     fa, fb = float(f(np.array([a]))[0]), float(f(np.array([b]))[0])
-    want = reference_refine(scalar_of(f), a, fa, b, fb)
+    sign = 1.0 if fa > 0.0 or fb < 0.0 else -1.0
     calls = []
-    got = _refine(counted(f, calls), np.array([a, a]), np.array([fa, fa]),
-                  np.array([b, b]), np.array([fb, fb]))
-    assert got.tolist() == [want, want]
-    assert len(calls) == rounds
-    if root is not None:
-        assert want == root
 
-
-def test_refine_finishes_zero_end_and_narrow_brackets_without_evaluating():
-    # an f == 0 end (a, then b), and a bracket 1.5e-13 wide at |a| = 2,
-    # inside the stop width 2e-13
-    a = np.array([0.0, 1.0, 2.0])
-    fa = np.array([0.0, 1.0, 1.0])
-    b = np.array([1.0, 2.0, 2.0 + 1.5e-13])
-    fb = np.array([-1.0, 0.0, -1.0])
-    calls = []
-    got = _refine(counted(lambda x: 1.0 - x, calls), a, fa, b, fb)
-    assert calls == []
-    assert got.tolist() == [reference_refine(None, *bracket)
-                            for bracket in zip(a.tolist(), fa.tolist(), b.tolist(),
-                                               fb.tolist())]
-    assert got.tolist() == [0.0, 2.0, 0.5 * (2.0 + (2.0 + 1.5e-13))]
-
-
-@pytest.mark.parametrize("f,a,b", [
-    # a steep 1/(x - p) side with the root 1e-6 from the pole p = 0
-    (lambda x: 1e-6 / x - 1.0, 1e-12, 10.0),
-    # the same, seen from the other side of the root
-    (lambda x: 1.0 - 1e-6 / x, 1e-12, 10.0),
-    # an infinite slope at the end E = 4: sqrt(E - x) - c, root 1e-8 below E
-    (lambda x: np.sqrt(4.0 - x) - 1e-4, -10.0, 4.0),
-    # a step function, its jump at 1/3
-    (lambda x: np.where(x < 1.0 / 3.0, 1.0, -1.0), 0.0, 1.0),
-], ids=["pole-side", "pole-side-flipped", "sqrt-end", "step"])
-def test_refine_certifies_adversarial_brackets(f, a, b):
-    fa, fb = float(f(np.array([a]))[0]), float(f(np.array([b]))[0])
-    calls = []
-    root = float(_refine(counted(f, calls), np.array([a]), np.array([fa]),
-                         np.array([b]), np.array([fb]))[0])
-    assert root == reference_refine(scalar_of(f), a, fa, b, fb)
-    bisect_calls = []
-    reference_bisect(counted(scalar_of(f), bisect_calls), a, fa, b, fb)
-    # the 4-round halving rule: never slower than a quarter of bisection's rate
-    assert len(calls) <= min(200, 4 * len(bisect_calls) + 4)
-    width = 1e-13 * max(1.0, abs(root))
-    lo, hi = np.array([root - width]), np.array([min(root + width, b)])
-    assert f(lo)[0] * f(hi)[0] <= 0.0
-
-
-def recording_refine(monkeypatch, wide):
-    """Patch `_refine` to append, per call, whether each bracket handed to it
-    is wider than its stop width (so it takes rounds)."""
-    refine = mws.spectra._refine
-
-    def recording(f, a, fa, b, fb):
-        wide.append(b - a > 1e-13 * np.maximum(1.0, np.abs(a)))
-        return refine(f, a, fa, b, fb)
-
-    monkeypatch.setattr(mws.spectra, "_refine", recording)
-
-
-def counting_exact_vnn(monkeypatch, calls):
-    vnn = mws.spectra._exact_vnn
-
-    def counting(*args):
+    def evaluate(rows, x):
         calls.append(1)
-        return vnn(*args)
+        return sign * f(x), sign * df(x[1])
 
-    monkeypatch.setattr(mws.spectra, "_exact_vnn", counting)
+    x = np.array([seed])
+    root, lo, hi, flo, fhi, residual, stuck = _kernels.polish(
+        evaluate, x, sign * f(x), sign * df(x), np.array([a]), np.array([sign * fa]),
+        np.array([b]), np.array([sign * fb]), np.zeros(1), np.ones(1), np.zeros(1))
+    assert not stuck[0] and residual[0] == abs(float(f(root)[0]))
+    return float(root[0]), float(lo[0]), float(hi[0]), sign * flo[0], sign * fhi[0], \
+        len(calls) + 1
+
+
+def step(at):
+    return lambda x: np.where(x < at, 1.0, -1.0)
+
+
+@pytest.mark.parametrize("f,df,a,b,seed,root,rounds", [
+    # the first Newton point is the root: f == 0 ends the loop
+    (lambda x: x, np.ones_like, -1.0, 3.0, 1.0, 0.0, 2),
+    # f and f' are NaN at the first Newton point, 0.375: the next round takes
+    # the midpoint, and Newton from there finds the root 1/2
+    (nan_band(0.375, 0.001, lambda x: 1.0 / x - 2.0), nan_band(0.375, 0.001, lambda x: -1.0 / (x * x)),
+     0.1, 1.0, 0.25, 0.5, 8),
+    # f is NaN at the seed: the first round takes the midpoint 0.5, which
+    # moves hi, and Newton from it lands on the root 3/8
+    (nan_band(0.75, 0.01, lambda x: np.where(x <= 0.5, 3.0 - 8.0 * x, -1.0)),
+     lambda x: np.where(x <= 0.5, -8.0, 0.0), 0.0, 1.0, 0.75, 0.375, 3),
+    # the root 1e-17 above a: f cannot tell it from a, whose f is +1e-17, so
+    # a and its next float are the bracket
+    (lambda x: 1e-17 - (x - 0.5), lambda x: -1.0 + 0.0 * x, 0.5, 1.0, 0.75, 0.5, 2),
+    # a jump at 0.5e-13 and f' = 0: the first midpoint lands on the jump, and
+    # its neighbours close the bracket
+    (step(0.5e-13), lambda x: 0.0 * x, 0.0, 2e-13, 1e-13, 0.5e-13, 2),
+    # an infinite f left of the jump at 1e250 leaves only midpoints: 100
+    # rounds halve the 1e300-wide bracket short of the jump's floats, and the
+    # round cap ends the row as it stands
+    (lambda x: np.where(x < 1e250, np.inf, -1.0), lambda x: 0.0 * x, 0.0, 1e300, 5e299,
+     None, _kernels._MAX_ROUNDS + 1),
+], ids=["zero", "undefined-interpolant", "undefined-midpoint", "end", "width", "cap"])
+def test_refine_exits_match_scalar(f, df, a, b, seed, root, rounds):
+    # the shared loop's exits: f == 0, an undefined f, a root next to an end,
+    # a jump, the round cap; each bracket holds the scalar bisection's root
+    fa, fb = float(f(np.array([a]))[0]), float(f(np.array([b]))[0])
+    want = reference_bisect(scalar_of(f), a, fa, b, fb)
+    got, lo, hi, flo, fhi, calls = polish_one(f, df, a, b, seed)
+    assert calls == rounds
+    assert lo <= got <= hi and np.sign(flo) * np.sign(fhi) <= 0.0
+    if root is None:
+        assert lo < 1e250 <= hi
+        return
+    assert lo <= root <= hi and abs(want - root) <= 1e-13 * max(1.0, abs(root))
+    assert hi == lo or hi == np.nextafter(lo, np.inf) or got == root
+
+
+@pytest.mark.parametrize("f,df,a,b", [
+    # a steep 1/(x - p) side with the root 1e-6 from the pole p = 0
+    (lambda x: 1e-6 / x - 1.0, lambda x: -1e-6 / (x * x), 1e-12, 10.0),
+    # the same, seen from the other side of the root
+    (lambda x: 1.0 - 1e-6 / x, lambda x: 1e-6 / (x * x), 1e-12, 10.0),
+    # an infinite slope at the end E = 4: sqrt(E - x) - c, root 1e-8 below E
+    (lambda x: np.sqrt(4.0 - x) - 1e-4, lambda x: -0.5 / np.sqrt(4.0 - x), -10.0, 4.0),
+    # a step function, its jump at 1/3
+    (step(1.0 / 3.0), lambda x: 0.0 * x, 0.0, 1.0),
+], ids=["pole-side", "pole-side-flipped", "sqrt-end", "step"])
+def test_refine_certifies_adversarial_brackets(f, df, a, b):
+    # seeded at the bracket's midpoint, the shared loop certifies a sign
+    # change between adjacent floats, in no more evaluations than scalar
+    # bisection takes to its 1e-13 stop width (where f' = 0 gives no Newton
+    # step, than bisection to adjacent floats)
+    root, lo, hi, flo, fhi, calls = polish_one(f, df, a, b, 0.5 * (a + b))
+    fa, fb = float(f(np.array([a]))[0]), float(f(np.array([b]))[0])
+    bisect_calls = []
+    want = reference_bisect(counted(scalar_of(f), bisect_calls), a, fa, b, fb)
+    if df(np.array([root]))[0] != 0.0:
+        assert calls <= len(bisect_calls)
+    else:
+        assert calls <= math.ceil(math.log2((b - a) / np.spacing(root))) + 1
+    assert lo <= root <= hi and np.sign(flo) * np.sign(fhi) < 0.0
+    assert f(np.array([lo]))[0] == flo and f(np.array([hi]))[0] == fhi
+    assert hi - lo <= 4.0 * np.spacing(max(abs(lo), abs(hi)))
+    assert abs(root - want) <= 1e-13 * max(1.0, abs(want))
+
+
+def test_polish_takes_a_zero_end_as_the_root():
+    # f(a) == 0 and f(b) == 0 are known limits (a zero end counts), and the
+    # evaluated zero in the bracket is the root
+    for a, b, want in ((1.0, 2.0, 1.0), (0.0, 1.0, 1.0)):
+        root, lo, hi, flo, fhi, _ = polish_one(lambda x: want - x, lambda x: -1.0 + 0.0 * x,
+                                               a, b, 0.5 * (a + b))
+        assert root == want and lo <= want <= hi and flo >= 0.0 >= fhi, (a, b)
 
 
 def test_exact_vnn_calls_per_table(monkeypatch):
-    calls, wide = [], []
+    calls = []
     counting_exact_vnn(monkeypatch, calls)
-    recording_refine(monkeypatch, wide)
-    # every candidate of this table certifies inside eps -+ delta: the one
-    # f call of the window check is all it takes
+    # one call checks every candidate's window and takes f' at it; one round
+    # of the shared loop then certifies every root of a table
     (_, table, eps0), = [c for c in CASES if c[0] == "Np=4 n'=4 Ns=1 E=9.0 n=1"]
-    assert len(find_roots_exact(table, eps0)) == 17
-    assert len(calls) == 1 and not np.any(wide)
+    assert len(find_roots_exact(table, eps0).roots) == 17
+    assert len(calls) == 2
     calls.clear()
     spec = [(table, eps0) for label, table, eps0 in CASES if label in SPEC_LABELS]
     assert len(spec) == 81
     for table, eps0 in spec:
         find_roots_exact(table, eps0)
-    assert len(calls) <= 2 * len(spec), len(calls)
+    assert len(calls) == 2 * len(spec), len(calls)
+
+
+@pytest.mark.parametrize("config", ["doc_spatial.json", "doc_spatial_nprime6.json"])
+def test_two_exact_vnn_calls_per_table_of_a_doc_spectrum(monkeypatch, config):
+    # the exact form of the documented spatial configs: the window check,
+    # then one round of the shared loop, per base state
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "configs" / config
+    doc = json.loads(path.read_text())
+    doc["modes"]["denominator"] = "exact"
+    if config == "doc_spatial_nprime6.json":
+        doc["truncation"]["n_prime"] = 4     # n' = 6 closes a channel (exact pole needs E >= eps0)
+    spec = build_spec(doc)
+    calls = []
+    counting_exact_vnn(monkeypatch, calls)
+    result = solve_spectrum(spec)
+    assert len(calls) == 2 * spec.n_base
+    assert sum(len(st.roots) for st in result.states) > 0
 
 
 def test_moved_eigenvalues_still_give_every_root_through_refine(monkeypatch):
     # every companion eigenvalue moved by 1e-11 relative moves each candidate
-    # by about K^2 1e-11 in eps, off its inner window eps -+ delta but inside
-    # its window (h = 1e-9 max(1, |eps|)); on "wide intervals" (E = 5000)
-    # that move, about 1e-7, leaves the window, so that table is not used
+    # by about K^2 1e-11 in eps, still inside its window (h = 1e-9 max(1,
+    # |eps|)); on "wide intervals" (E = 5000) that move, about 1e-7, leaves
+    # the window, so that table is not used. The shared loop's Newton steps
+    # bring every seed back to its root.
     cases = [c for c in CASES if c[0] != "wide intervals"]
     want = {label: exact_roots(table, eps0) for label, table, eps0 in cases}
     eigvals = np.linalg.eigvals
     monkeypatch.setattr(np.linalg, "eigvals", lambda mat: eigvals(mat) * (1.0 + 1e-11))
-    wide = []
-    recording_refine(monkeypatch, wide)
+    calls = []
+    counting_exact_vnn(monkeypatch, calls)
     for label, table, eps0 in cases:
-        wide.clear()
+        calls.clear()
         got, messages = exact_roots(table, eps0)
         roots, unpatched_messages = want[label]
         assert messages == unpatched_messages, label
         assert len(got) == len(roots), label
         assert np.all(np.abs(got - roots) <= 1e-13 * np.maximum(1.0, np.abs(roots))), label
-        # no inner window certified: every root took _refine's rounds
-        assert len(wide) == 1 and np.all(wide[0]), label
+        assert len(calls) <= 3, label
 
 
 def raises(table, x):
@@ -610,7 +645,7 @@ def test_scan_cuts_at_unlisted_plus_branch_singularity():
     hidden = exact_pole_pair(float(m.eps0_aux[-1]), float(m.eps_p[-1]), 8.3)[0]
     assert hidden not in table.poles and hidden < 8.3
 
-    roots = find_roots_exact(table, eps0)
+    roots = find_roots_exact(table, eps0).roots
     assert len(roots) == 6
     near = roots[-1]
     assert hidden - 1e-3 < near < hidden
@@ -658,7 +693,7 @@ def exact_roots(table, eps0):
     """find_roots_exact's roots and the messages of the warnings it gave."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        roots = find_roots_exact(table, eps0)
+        roots = find_roots_exact(table, eps0).roots
     return roots, [str(w.message) for w in caught]
 
 

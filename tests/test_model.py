@@ -126,6 +126,19 @@ def test_non_finite_number_names_its_path(section, key, value):
         build_spec(cfg)
 
 
+@pytest.mark.parametrize("doc,path", [
+    ({"kind": "constant", "value": math.inf}, "t.value"),
+    ({"kind": "constant", "value": [0.0, math.nan]}, "t.value"),
+    ({"kind": "cosine", "amplitude": -math.inf}, "t.amplitude"),
+    ({"kind": "gaussian", "height": math.nan}, "t.height"),
+    ({"kind": "samples", "values": [0.0] * 10 + [math.inf]}, "t.values[10]"),
+], ids=("inf-value", "nan-imaginary", "minus-inf-amplitude", "nan-height", "inf-sample"))
+def test_non_finite_profile_number_names_its_path(doc, path):
+    x = np.linspace(0.0, 1.0, 11)
+    with pytest.raises(ConfigError, match=re.escape(f"{path} must be finite")):
+        sample_profile(doc, x, "t")
+
+
 @pytest.mark.parametrize("value", (True, [0.0, False]))
 def test_bool_is_no_profile_number(value):
     x = np.linspace(0.0, 1.0, 11)
@@ -173,16 +186,24 @@ def test_declared_real_needs_conjugate_pairs():
     cfg["perturbation"]["real"] = True
     with pytest.raises(ConfigError, match="pair"):
         build_spec(cfg)
-    # the pairing is exact: one ulp off fails, and so does a NaN amplitude
-    for plus, minus in ((0.3, float(np.nextafter(0.3, 1.0))),
-                        (float("nan"), float("nan"))):
-        cfg = temporal_config([
-            {"index": 1, "amplitude": {"kind": "constant", "value": plus}},
-            {"index": -1, "amplitude": {"kind": "constant", "value": minus}},
-        ])
-        cfg["perturbation"]["real"] = True
-        with pytest.raises(ConfigError, match="harmonic 1 is not the conjugate of harmonic -1"):
-            build_spec(cfg)
+    # the pairing is exact: one ulp off fails
+    plus, minus = 0.3, float(np.nextafter(0.3, 1.0))
+    cfg = temporal_config([
+        {"index": 1, "amplitude": {"kind": "constant", "value": plus}},
+        {"index": -1, "amplitude": {"kind": "constant", "value": minus}},
+    ])
+    cfg["perturbation"]["real"] = True
+    with pytest.raises(ConfigError, match="harmonic 1 is not the conjugate of harmonic -1"):
+        build_spec(cfg)
+    # a NaN amplitude pair fails earlier, as a non-finite number named by its path
+    cfg = temporal_config([
+        {"index": 1, "amplitude": {"kind": "constant", "value": float("nan")}},
+        {"index": -1, "amplitude": {"kind": "constant", "value": float("nan")}},
+    ])
+    cfg["perturbation"]["real"] = True
+    with pytest.raises(ConfigError,
+                       match=re.escape("perturbation.harmonics[0].amplitude.value must be finite")):
+        build_spec(cfg)
 
 
 def test_declared_real_accepts_matched_pairs():

@@ -2,6 +2,7 @@
 
 import json
 import warnings
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -27,6 +28,7 @@ from mws.spectra import (
     appendix_k_shift,
     assert_interlacing,
     count_solutions,
+    curve_edges,
     find_roots,
     find_roots_exact,
     group_realisations,
@@ -80,6 +82,31 @@ def test_error_messages_print_plain_floats():
         find_roots(synthetic_table([0.0, 1.0], [1.0, 5e-324]), 0.5)
     messages.append(str(bracket.value))
     assert not any("np.float64(" in m for m in messages)
+
+
+def test_exact_rootsets_make_bracket_claims():
+    # exact roots carry brackets: lo <= root <= hi <= E, f_lo and f_hi of
+    # opposite signs, no denominator sign change inside; the gate refuses a
+    # RootSet that breaks any of them
+    spec = build_spec(spatial_config(pair(0.4), energy=14.5, n_base=2, n_prime=2,
+                                     denominator="exact"))
+    for state in solve_spectrum(spec).states:
+        rs, table, n = state.rootset, state.table, state.n
+        assert len(rs.roots) > 0 and np.all(np.isfinite(rs.residuals))
+        assert np.all((rs.bracket_lo <= rs.roots) & (rs.roots <= rs.bracket_hi))
+        assert np.all(np.sign(rs.f_lo) * np.sign(rs.f_hi) <= 0.0)
+        _assert_rootset(table.poles, rs, n, exact=table)
+        bad = [replace(rs, f_hi=rs.f_lo),
+               replace(rs, bracket_hi=np.full(len(rs.roots), table.total_energy + 1.0))]
+        # a bracket that reaches down past a singularity below E
+        singular = curve_edges(table, state.epsilon0)[1]
+        i = int(np.searchsorted(rs.roots, singular))
+        lo = rs.bracket_lo.copy()
+        lo[i] = singular - 1e-6
+        bad.append(replace(rs, bracket_lo=lo))
+        for rootset in bad:
+            with pytest.raises(SolverError, match=f"bracket certificate failed for base state {n}"):
+                _assert_rootset(table.poles, rootset, n, exact=table)
 
 
 def test_every_entry_point_gates_its_roots(monkeypatch):
@@ -178,7 +205,7 @@ def test_find_roots_exact_scan_finds_verified_zeros():
     te = build_pole_weight_table(spec_e, bases_e, 1)
     eps0 = float(bases_a.base.eigenvalues[0])
     ra = find_roots(ta, eps0).roots
-    re = find_roots_exact(te, eps0)
+    re = find_roots_exact(te, eps0).roots
     assert len(re) == len(ra)        # one per pole interval plus the line root
     assert np.all(re <= 220.0)
     # each reported value is a genuine zero of the exact residual
