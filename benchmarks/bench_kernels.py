@@ -23,9 +23,15 @@ change sign within 1e-9*max(1,|root|) of it, with no denominator changing
 sign there (no pole). Then the timings (best of the repeats) are reported.
 The run fails when the tables take more `_exact_vnn` calls or loop rounds
 in total than EXACT_COUNTS lists.
+
+The V_nn section evaluates `mws.effpot.vnn_eval` on figure1's curve of the
+documented spatial config (VNN_CONFIG), in both denominator forms. Each
+array of energies is checked bit for bit against one-energy `vnn_eval`
+calls before it is timed (best of the repeats).
 """
 
 import argparse
+import json
 import math
 import sys
 import time
@@ -40,7 +46,7 @@ except ImportError:  # run from a checkout without installing
 
 import mws.spectra
 from mws import _kernels
-from mws.effpot import build_bases, build_pole_weight_tables
+from mws.effpot import build_bases, build_pole_weight_tables, vnn_eval
 from mws.model import build_spec
 
 
@@ -204,6 +210,33 @@ def bench_exact_scan(repeats):
                              f"{EXACT_COUNTS[name]} recorded")
 
 
+VNN_CONFIG = Path(__file__).resolve().parents[1] / "perfbench" / "configs" / "doc_spatial.json"
+
+
+def bench_vnn(repeats):
+    """Check and time `vnn_eval` on figure1's curve energies (its default 200
+    per interval), both forms."""
+    print(f"\n{'V_nn curve':<26}  {'T':>3}  {'energies':>8}  {'ms':>7}")
+    for mode in ("approx", "exact"):
+        doc = json.loads(VNN_CONFIG.read_text())
+        doc["modes"]["denominator"] = mode
+        for st in mws.spectra.solve_spectrum(build_spec(doc)).states:
+            edges = mws.spectra.curve_edges(st.table, st.epsilon0)
+            xs = np.concatenate([np.linspace(a + 1e-4 * (b - a), b - 1e-4 * (b - a), 200)
+                                 for a, b in zip(edges, edges[1:])])
+            label = f"{VNN_CONFIG.stem} {mode} n={st.n}"
+            one = np.array([vnn_eval(st.table, x) for x in xs.tolist()])
+            if vnn_eval(st.table, xs).tobytes() != one.tobytes():
+                raise SystemExit(f"{label}: array V_nn differs from one-energy V_nn")
+            best = np.inf
+            for _ in range(repeats):
+                t0 = time.perf_counter()
+                vnn_eval(st.table, xs)
+                best = min(best, time.perf_counter() - t0)
+            terms = st.table.members.weight if st.table.exact_spatial else st.table.poles
+            print(f"{label:<26}  {len(terms):>3}  {len(xs):>8}  {best * 1e3:>7.2f}")
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--repeats", type=int, default=5)
@@ -239,6 +272,7 @@ def main():
             raise SystemExit(f"{rounds} residual rounds at P={p_count}: more than the "
                              f"{ROUNDS[p_count]} recorded")
     bench_exact_scan(args.repeats)
+    bench_vnn(args.repeats)
     return 0
 
 

@@ -25,12 +25,12 @@ Matrix Anal. Appl. 16, 1995, whose dlaed4 also stops at the rounding error
 bound of f). All intervals of all rational tables with the same pole count
 are handled as one set of arrays.
 
-The compensated sums are those of a scalar Neumaier loop, bit for bit:
-`_compensated_sum` adds a block over its last axis, and `_pole_sums`, behind
-the solver's residuals, either hands it the (points x poles) block or, for a
-wide batch or one of up to three poles, adds pole by pole. Both forms of
-V_nn, the rational and the exact spatial one, sum their (energies x terms)
-blocks through `_compensated_sum` (`effpot._chunked_sum`).
+The compensated sums are those of a scalar Neumaier loop, bit for bit.
+`_pole_sums` is the one term sum: it either hands `_compensated_sum` the
+(points x terms) block or, for a wide batch or one of up to three terms,
+adds term by term. It evaluates the solver's residuals and both forms of
+V_nn and V_nn', the rational one over poles and the exact spatial one over
+its members' square-root denominators (`effpot._exact_vnn`).
 """
 
 from __future__ import annotations
@@ -41,45 +41,51 @@ from mws.errors import BracketError
 
 _U = np.finfo(float).eps
 _MAX_ROUNDS = 100
-_WIDE = 512        # points from which `_pole_sums` goes pole by pole
+_WIDE = 512        # points from which `_pole_sums` goes term by term
 
 
 def _pole_sums(p, w, x, slope=None):
-    """Compensated sum_j w_j/(x - p_j) over the poles in table order, and
-    with `slope`, an index of x's first axis, also sum_j w_j/(x - p_j)^2 at
+    """Compensated sum_j w_j/d_j(x) over the terms in table order, and with
+    `slope`, an index of x's first axis, also sum_j (w_j/d_j) d_j'/d_j at
     x[slope] added in the same order (else None).
 
-    `p` and `w` are (P,) or (P, m), the poles on their first axis; p[j] and
-    w[j] broadcast against x. Both sums are bitwise those of a scalar loop
-    over the poles (`_compensated_sum`), so they do not depend on how points
-    are batched. A batch of fewer than `_WIDE` points with more than three
-    poles sums its (points x poles) terms as one block, in few calls; any
-    other goes pole by pole, each step one vector operation over all points,
-    with no P-wide temporaries. The split is where their times cross (3
-    points per row, 2-CPU Xeon VM): with up to three poles the pole loop is
-    never slower, with 4-128 poles it is faster from 100-600 points on. At
-    P = 128 a block of 3,072 points takes 4x the pole loop's time, and the
-    pole loop 6x the block's on 48 points.
+    The denominators are d_j = x - p_j (d_j' = 1) for poles `p`, or come from
+    a function p(x, j, slope) -> (d_j(x), d_j'(x[slope])), j a term's index
+    or slice(None) for all terms on x's last axis. `w` and poles are (P,) or
+    (P, m), the terms first; w[j] and p[j] broadcast against x. Both sums are
+    bitwise those of a scalar loop over the terms (`_compensated_sum`), so
+    they do not depend on how points are batched. A batch of fewer than
+    `_WIDE` points with more than three terms sums its (points x terms)
+    block at once, in few calls; any other goes term by term, each step one
+    vector operation over all points, with no P-wide temporaries. The split
+    is where their times cross (3 points per row, 2-CPU Xeon VM): with up to
+    three poles the pole loop is never slower, with 4-128 poles it is faster
+    from 100-600 points on. At P = 128 a block of 3,072 points takes 4x the
+    pole loop's time, and the pole loop 6x the block's on 48 points.
     """
+    if not callable(p):
+        poles = p.T
+
+        def p(x, j, slope):
+            return x - poles[..., j], 1.0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if x.size < _WIDE and len(p) > 3:
-            p, w = p.T, w.T
-            d = x[..., None] - p
-            terms = w / d
+        if x.size < _WIDE and len(w) > 3:
+            d, grow = p(x[..., None], slice(None), slope)
+            terms = w.T / d
             if slope is None:
                 return _compensated_sum(terms), None
-            squares = np.cumsum(terms[slope] / d[slope], axis=-1)[..., -1]
-            return _compensated_sum(terms), squares
+            return _compensated_sum(terms), np.cumsum(terms[slope] * grow / d[slope], -1)[..., -1]
         sums, comp = np.zeros(x.shape), np.zeros(x.shape)
         squares = None if slope is None else np.zeros(x[slope].shape)
-        for pj, wj in zip(p, w):
-            term = wj / (x - pj)
+        for j in range(len(w)):
+            d, grow = p(x, j, slope)
+            term = w[j] / d
             run = sums + term
             back = run - sums
             comp += (sums - (run - back)) + (term - back)
             sums = run
             if slope is not None:
-                squares += term[slope] / (x[slope] - pj)
+                squares += term[slope] * grow / d[slope]
         return sums + comp, squares
 
 
@@ -210,12 +216,13 @@ def polish(evaluate, seed, f_seed, d_seed, lo, flo, hi, fhi, eps0, scale, floor)
     # The state of the active rows. A bracket end is known once its sign fits;
     # until then it holds its limit. The seed is the end its sign fits.
     # `best` is the evaluated float of least |f| in the bracket, `slope` f'
-    # at the latest Newton point and `step` how far a side still unknown has
-    # widened.
+    # at the latest Newton point, `step` how far a side still unknown has
+    # widened and `nan_x` the latest point whose round gave three NaNs.
     pos, neg = f_seed > 0.0, f_seed < 0.0
     lo, flo = np.where(pos, seed, lo), np.where(pos, f_seed, flo)
     hi, fhi = np.where(neg, seed, hi), np.where(neg, f_seed, fhi)
     best, f_best, slope, step = seed.copy(), f_seed.copy(), d_seed, np.zeros(len(seed))
+    nan_x = np.full(len(seed), np.nan)
     certified = (flo >= 0.0) & (fhi <= 0.0)
     rows = np.arange(len(seed))
     out = np.empty((6, len(seed)))
@@ -224,12 +231,12 @@ def polish(evaluate, seed, f_seed, d_seed, lo, flo, hi, fhi, eps0, scale, floor)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         while True:
             rounds += 1
-            # Newton from the best point, inside the bracket (else the
-            # midpoint); toward a side still unknown it goes at least to a
-            # trial end, which widens x4 from the best point to the limit
-            # that side holds
+            # Newton from the best point, inside the bracket and not at
+            # `nan_x`, which would stall (else the midpoint); toward a side
+            # still unknown it goes at least to a trial end, which widens x4
+            # from the best point to the limit that side holds
             xn = best - f_best / slope
-            near = (lo <= xn) & (xn <= hi)
+            near = (lo <= xn) & (xn <= hi) & (xn != nan_x)
             x = 0.5 * (lo + hi)
             np.putmask(x, near, xn)
             if not certified.all():
@@ -244,6 +251,8 @@ def polish(evaluate, seed, f_seed, d_seed, lo, flo, hi, fhi, eps0, scale, floor)
             pts = np.array([np.maximum(np.fmin(x - res, np.nextafter(x, -np.inf)), lo), x,
                             np.minimum(np.fmax(x + res, np.nextafter(x, np.inf)), hi)])
             fp, slope = evaluate(rows, pts)
+            lost = np.isnan(fp).all(axis=0)
+            np.putmask(nan_x, lost, x)
 
             # the tightest evaluated pair f > 0 > f: the rightmost positive
             # point, then the leftmost negative point right of it (pts is
@@ -272,11 +281,13 @@ def polish(evaluate, seed, f_seed, d_seed, lo, flo, hi, fhi, eps0, scale, floor)
             # a certified row ends once no float lies between its ends (so
             # every float in the bracket has been evaluated), once they are at
             # most two resolutions apart (so f cannot tell the floats between
-            # them apart), or on f == 0; one not yet certified goes on until
-            # it is, or until it is stuck
+            # them apart), on f == 0, or once f is NaN around its midpoint too
+            # (so the bracket holds the points where it is NaN); one not yet
+            # certified goes on until it is, or until it is stuck
             known_lo, known_hi = flo >= 0.0, fhi <= 0.0
             certified = known_lo & known_hi
-            done = certified & (zero | (hi <= np.fmax(np.nextafter(lo, np.inf), lo + 2.0 * res)))
+            done = certified & (zero | (lost & ~near)
+                                | (hi <= np.fmax(np.nextafter(lo, np.inf), lo + 2.0 * res)))
             if rounds >= _MAX_ROUNDS:
                 done = certified
             if not certified.all():
@@ -291,8 +302,9 @@ def polish(evaluate, seed, f_seed, d_seed, lo, flo, hi, fhi, eps0, scale, floor)
                 break
             out[:, rows[done]] = [a[done] for a in state]
             keep = ~done
-            rows, lo, hi, flo, fhi, best, f_best, slope, step, certified = (
-                a[keep] for a in (rows, lo, hi, flo, fhi, best, f_best, slope, step, certified))
+            rows, lo, hi, flo, fhi, best, f_best, slope, step, certified, nan_x = (
+                a[keep] for a in (rows, lo, hi, flo, fhi, best, f_best, slope, step, certified,
+                                  nan_x))
 
     root, lo, hi, flo, fhi, f_root = out
     return root, lo, hi, flo, fhi, np.abs(f_root), stuck_rows

@@ -155,8 +155,8 @@ def cmd_spectrum(spec: SystemSpec, doc: dict, out_dir: Path, args) -> list[str]:
 
 
 def cmd_kernel(spec: SystemSpec, doc: dict, out_dir: Path, args) -> list[str]:
-    if args.epsilon is None:
-        raise ConfigError("the kernel subcommand needs --epsilon")
+    if args.epsilon is None or not np.isfinite(args.epsilon):
+        raise ConfigError(f"the kernel subcommand needs a finite --epsilon, got {args.epsilon}")
     bases = build_bases(spec)
     k = ep_kernel_matrix(spec, bases, args.epsilon)
     stride = max(1, (spec.grid_points - 1) // 256) if args.stride is None else args.stride

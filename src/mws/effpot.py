@@ -362,13 +362,11 @@ def _raise_undefined(table: PoleWeightTable, epsilon: float) -> None:
         )
 
 
-def _exact_denominator(m: Members | ChannelTerms, eps, room):
+def _exact_denominator(m: Members | ChannelTerms, eps, room, j=slice(None)):
     """eps - eps0' - eps_p - 2 cos(alpha) sqrt((E - eps) eps_p), room = E - eps;
-    as arrays, of every channel term or table member."""
-    return eps - m.eps0_aux - m.eps_p - 2.0 * m.cos_alpha * np.sqrt(room * m.eps_p)
-
-
-_VNN_CHUNK = 512  # energies per (energies x terms) block of `_chunked_sum`
+    as arrays, of every channel term or table member, or of member j."""
+    return eps - m.eps0_aux[..., j] - m.eps_p[..., j] \
+        - 2.0 * m.cos_alpha[..., j] * np.sqrt(room * m.eps_p[..., j])
 
 
 def _vnn(table: PoleWeightTable, eps: np.ndarray) -> np.ndarray:
@@ -376,7 +374,7 @@ def _vnn(table: PoleWeightTable, eps: np.ndarray) -> np.ndarray:
 
     The rational form (approx mode, temporal drives) sums w/(eps - p) over
     the table's poles, the exact spatial form (`_exact_vnn`) w/d(eps) over
-    its members' square-root denominators; both go through `_chunked_sum`,
+    its members' square-root denominators; both are `_kernels._pole_sums`,
     so each element rounds exactly as a one-energy evaluation would.
     Elements within `proximity_tol()` of a pole, above E in exact mode, or
     where an exact denominator vanishes are NaN. A zero denominator needs no
@@ -393,36 +391,25 @@ def _vnn(table: PoleWeightTable, eps: np.ndarray) -> np.ndarray:
         undefined |= eps > table.total_energy
         out = _exact_vnn(table.members, table.total_energy, eps)
     else:
-        out = _chunked_sum(lambda e: table.weights / (e - poles), eps)
+        out = _kernels._pole_sums(poles, table.weights, eps)[0]
     out[undefined] = np.nan
     return out
 
 
 def _exact_vnn(m: Members, total_energy: float, eps: np.ndarray, slope=None):
     """sum_t w_t / d_t(eps) over the members in table order, d_t the exact
-    denominator `_exact_denominator`, by `_chunked_sum`. With `slope`, an
-    index of eps's first axis, also its derivative sum_t -w_t d_t'/d_t^2 at
-    eps[slope] (a plain sum; d_t' = 1 + cos(alpha) sqrt(eps_p/(E - eps)) is
-    infinite at E) and the denominators d_t, on a last axis, of one block."""
-    if slope is None:
-        return _chunked_sum(lambda e: m.weight / _exact_denominator(m, e, total_energy - e), eps)
-    e = eps[..., None]
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        d = _exact_denominator(m, e, total_energy - e)
-        terms = m.weight / d
-        growth = 1.0 + m.cos_alpha * np.sqrt(m.eps_p / (total_energy - e[slope]))
-        return _kernels._compensated_sum(terms), np.sum(-terms[slope] * growth / d[slope], -1), d
+    denominator `_exact_denominator`, by `_kernels._pole_sums`. With `slope`,
+    an index of eps's first axis, also its derivative sum_t -w_t d_t'/d_t^2
+    at eps[slope], d_t' = 1 + cos(alpha) sqrt(eps_p/(E - eps)) (infinite at
+    E), added in the same order."""
+    def denominators(e, j, slope):
+        room = total_energy - e
+        grow = None if slope is None else \
+            1.0 + m.cos_alpha[..., j] * np.sqrt(m.eps_p[..., j] / room[slope])
+        return _exact_denominator(m, e, room, j), grow
 
-
-def _chunked_sum(terms_of, eps: np.ndarray) -> np.ndarray:
-    """`_kernels._compensated_sum` of the (energies x terms) block
-    terms_of(e[:, None]), `_VNN_CHUNK` energies e of eps at a time."""
-    out = np.empty(len(eps))
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for start in range(0, len(eps), _VNN_CHUNK):
-            block = terms_of(eps[start:start + _VNN_CHUNK, None])
-            out[start:start + _VNN_CHUNK] = _kernels._compensated_sum(block)
-    return out
+    sums, squares = _kernels._pole_sums(denominators, m.weight, eps, slope)
+    return sums if slope is None else (sums, -squares)
 
 
 def _negated_amplitude(spec: SystemSpec, index: int) -> np.ndarray:

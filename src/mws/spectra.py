@@ -224,13 +224,16 @@ def find_roots_exact(table: PoleWeightTable, epsilon0: float) -> RootSet:
     scale = np.maximum(1.0, np.abs(eps))
     x = np.array([eps - 1e-9 * scale, eps, np.minimum(eps + 1e-9 * scale, e)])  # ascending
 
-    def f(x: np.ndarray):
-        """f at the (3, c) points x, f' at x[1] and the members' denominators."""
-        vnn, slope, d = _exact_vnn(m, e, x, slope=1)
-        return vnn - x + epsilon0, slope - 1.0, d
+    def evaluate(rows, x):
+        """f (negated where it rises) at the (3, c) points x, and f' at x[1]."""
+        vnn, slope = _exact_vnn(m, e, x, slope=1)
+        return (vnn - x + epsilon0) * sign[rows], (slope - 1.0) * sign[rows]
 
-    fx, slope, d = f(x)
-    ok = ((d[0] > 0.0) == (d[2] > 0.0)).all(axis=1) & (np.sign(fx[0]) * np.sign(fx[2]) <= 0.0)
+    sign = np.ones(len(eps))
+    fx, slope = evaluate(slice(None), x)
+    ends = x[::2, :, None]
+    d = _exact_denominator(m, ends, e - ends)
+    ok = ((d[0] > 0.0) == (d[1] > 0.0)).all(axis=1) & (np.sign(fx[0]) * np.sign(fx[2]) <= 0.0)
     if not ok.all():
         warnings.warn(f"exact mode: {len(eps) - int(np.count_nonzero(ok))} eigenvalue "
                       f"candidate(s) of base state {table.base_state} failed the "
@@ -239,10 +242,6 @@ def find_roots_exact(table: PoleWeightTable, epsilon0: float) -> RootSet:
     # f must fall through each root: negate it where it rises
     sign = np.where((fx[0] > 0.0) | (fx[2] < 0.0), 1.0, -1.0)
     fx *= sign
-
-    def evaluate(rows, x):
-        fx, slope, _ = f(x)
-        return fx * sign[rows], slope * sign[rows]
 
     # f's resolution is at least the rounding of a denominator's arguments,
     # 2u(|eps| + |eps0'| + eps_p + 2|cos(alpha)| sqrt((E - eps) eps_p)), each

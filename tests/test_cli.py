@@ -241,6 +241,18 @@ def test_kernel_requires_epsilon(tmp_path):
     assert run(["kernel", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize("epsilon", ("nan", "inf", "-inf"))
+def test_kernel_refuses_non_finite_epsilon(tmp_path, capsys, epsilon):
+    # a NaN epsilon would write nan cells, an infinite one an all-zero kernel
+    cfg_path = write_config(tmp_path, temporal_config(weak_harmonics()))
+    out = tmp_path / "o"
+    assert run(["kernel", "--config", cfg_path, "--out", str(out), f"--epsilon={epsilon}"]) == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "ConfigError"
+    assert "--epsilon" in json.loads(lines[0])["message"]
+    assert not (out / "kernel_re.csv").exists()
+
+
 def test_kernel_dump(tmp_path):
     cfg_path = write_config(tmp_path, temporal_config(weak_harmonics(), points=128))
     out = tmp_path / "out"

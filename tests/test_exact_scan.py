@@ -28,7 +28,7 @@ import pytest
 
 from conftest import fig_anchor_harmonics, gaussian, spatial_config, temporal_config, \
     weak_harmonics
-from mws.effpot import _VNN_CHUNK, Members, PoleMember, PoleWeightTable, _vnn, build_bases, \
+from mws.effpot import Members, PoleMember, PoleWeightTable, _vnn, build_bases, \
     build_pole_weight_table, exact_pole_general, exact_pole_pair, vnn_eval
 from mws.errors import PoleProximityError, SolverError
 from mws.model import build_spec
@@ -513,6 +513,16 @@ def test_polish_takes_a_zero_end_as_the_root():
         assert root == want and lo <= want <= hi and flo >= 0.0 >= fhi, (a, b)
 
 
+def test_polish_brackets_a_nan_band_around_the_root():
+    # f = 1 - 2x is NaN within 1e-9 of its root 1/2 while f' = -2 stays
+    # finite: Newton keeps aiming at the NaN span, so the loop bisects
+    # instead, and ends once a midpoint is NaN too, its bracket around the span
+    f = nan_band(0.5, 1e-9, lambda x: 1.0 - 2.0 * x)
+    root, lo, hi, flo, fhi, calls = polish_one(f, lambda x: -2.0 + 0.0 * x, 0.0, 1.0, 0.25)
+    assert calls < 40
+    assert flo > 0.0 > fhi and lo < 0.5 - 1e-9 and 0.5 + 1e-9 < hi and root in (lo, hi)
+
+
 def test_exact_vnn_calls_per_table(monkeypatch):
     calls = []
     counting_exact_vnn(monkeypatch, calls)
@@ -583,21 +593,24 @@ CHUNK_CASES = [c for c in VNN_CASES if c[0] in ("Np=4 n'=4 Ns=2 E=14.5 n=1",
 
 @pytest.mark.parametrize("label,table,eps0", CHUNK_CASES, ids=[c[0] for c in CHUNK_CASES])
 def test_chunked_vnn_matches_one_energy_evaluation(label, table, eps0):
-    # 2 _VNN_CHUNK + 3 energies: the probe points (poles, pole bands, E and
-    # above) shuffled among evenly spaced ones, each block led by an energy
-    # where the scalar V_nn raises
+    # 2 _WIDE + 3 energies, which `_pole_sums` adds term by term, against
+    # one-energy calls, which it adds as blocks: the probe points (poles,
+    # pole bands, E and above) shuffled among evenly spaced ones, with
+    # energies where the scalar V_nn raises first, mid-way and near the end
+    wide = _kernels._WIDE
     probes = probe_points(table, eps0)
     undefined = np.array([raises(table, x) for x in probes.tolist()])
     fill = np.linspace(min(eps0, *table.poles) - 3.0, table.total_energy + 1.0,
-                       2 * _VNN_CHUNK + 3 - len(probes))
+                       2 * wide + 3 - len(probes))
     rest = np.concatenate([probes[undefined][3:], probes[~undefined], fill])
     xs = np.insert(np.random.default_rng(5).permutation(rest),
-                   [0, _VNN_CHUNK - 1, 2 * _VNN_CHUNK - 2], probes[undefined][:3])
+                   [0, wide - 1, 2 * wide - 2], probes[undefined][:3])
     got = _vnn(table, xs)
     one = np.array([_vnn(table, xs[i:i + 1])[0] for i in range(len(xs))])
     nan = np.isnan(got)
     assert np.array_equal(nan, np.isnan(one))
-    assert len(xs) == 2 * _VNN_CHUNK + 3 and nan[[0, _VNN_CHUNK, 2 * _VNN_CHUNK]].all()
+    assert len(xs) == 2 * wide + 3 and nan[[0, wide, 2 * wide]].all()
+    assert len(table.members.weight) > 3
     assert got[~nan].tobytes() == one[~nan].tobytes()
     defined = xs[~nan]
     assert vnn_eval(table, defined).tobytes() == \

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from mws import _kernels
+from mws.effpot import Members, _exact_vnn
 from mws.errors import BracketError
 from mws.model import build_spec
 from mws.spectra import solve_spectrum
@@ -342,8 +343,9 @@ def test_two_residual_rounds_per_doc_spectrum(monkeypatch, config):
 
 
 def test_wide_pole_sums_bitwise_equal_scalar_loop():
-    # past `_WIDE` points the sums go pole by pole; both layouts must give
-    # the scalar loop's sums, and the same slope sums as the block form
+    # past `_WIDE` points the sums go term by term; both layouts must give
+    # the scalar loop's sums, and the same slope sums as the block form,
+    # over poles and over the exact spatial form's square-root denominators
     rng = np.random.default_rng(17)
     for p_count in (1, 7, 33):
         tables = [wide_weight_table(rng, p_count) for _ in range(3)]
@@ -359,3 +361,33 @@ def test_wide_pole_sums_bitwise_equal_scalar_loop():
             assert np.array_equal(squares[:8, col], block_squares)
             assert [ref_secular_sum(poles, weights, v) for v in x[:40, col].tolist()] == \
                 sums[:40, col].tolist()
+
+    e = 15.0
+    for t_count in (4, 9, 33):
+        m = Members(np.ones(t_count, int), np.arange(1, t_count + 1),
+                    10.0 ** rng.uniform(-12.0, 1.7, size=t_count),
+                    rng.uniform(-20.0, 10.0, size=t_count), rng.uniform(0.1, 5.0, size=t_count),
+                    rng.choice([-1.0, -0.3, 0.6, 1.0], size=t_count))
+        x = rng.uniform(-60.0, e, size=(_kernels._WIDE // 2, 3))
+        sums, slopes = _exact_vnn(m, e, x, slope=slice(None))
+        for col in range(3):
+            block_sums, block_slopes = _exact_vnn(m, e, x[:8, col], slope=slice(None))
+            assert sums[:8, col].tobytes() == block_sums.tobytes()
+            assert slopes[:8, col].tobytes() == block_slopes.tobytes()
+        want = [ref_exact_sums(m, e, v) for v in x[:40, 0].tolist()]
+        assert want == list(zip(sums[:40, 0].tolist(), slopes[:40, 0].tolist()))
+
+
+def ref_exact_sums(m, e, x):
+    """The scalar compensated sum_t w_t/d_t(x) over exact denominators, and
+    its slope -sum_t (w_t/d_t) d_t'/d_t added in order."""
+    s = c = steep = 0.0
+    for w, e0, ep, cos in zip(m.weight.tolist(), m.eps0_aux.tolist(), m.eps_p.tolist(),
+                              m.cos_alpha.tolist()):
+        d = x - e0 - ep - 2.0 * cos * math.sqrt((e - x) * ep)
+        term = w / d
+        t = s + term
+        c += (s - t) + term if abs(s) >= abs(term) else (term - t) + s
+        s = t
+        steep += term * (1.0 + cos * math.sqrt(ep / (e - x))) / d
+    return s + c, -steep
